@@ -19,11 +19,8 @@ from .pde import (
 )
 from .quadrature import ConstructionError, QuadRule, gauss_jacobi_power, gauss_legendre
 from .schemes import (
-    HistoryState,
-    L1Weights,
     TimeGrid,
     caputo_reference,
-    fidr_expanded_weights,
     fidr_step,
     fir_step,
     gl_coefficients,
@@ -47,8 +44,6 @@ __all__ = [
     "ConstructionError",
     "ConvergenceStudy",
     "DiffusionProblem",
-    "HistoryState",
-    "L1Weights",
     "QuadRule",
     "SoEApproximation",
     "SoEParams",
@@ -58,7 +53,6 @@ __all__ = [
     "TimeGrid",
     "build_soe",
     "caputo_reference",
-    "fidr_expanded_weights",
     "fidr_step",
     "fir_step",
     "fit_rate",

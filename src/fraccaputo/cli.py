@@ -171,22 +171,18 @@ def cmd_convergence(args) -> int:
             for dt in dts:
                 tasks.append((scheme, n_modes, dt, alpha, h, T,
                               _cfg(args, "x_lo"), _cfg(args, "x_hi"), "manufactured"))
-    jobs = args.jobs
-    results = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    def outcome(t, run):
+        try:
+            return run() + ("ok",)
+        except Exception as exc:
+            return (t[0], t[1], t[2], math.nan, f"failed: {exc}")
+
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futs = [pool.submit(_one_convergence_run, t) for t in tasks]
-            for t, fut in zip(tasks, futs):
-                try:
-                    results.append(fut.result() + ("ok",))
-                except Exception as exc:
-                    results.append((t[0], t[1], t[2], math.nan, f"failed: {exc}"))
+            results = [outcome(t, fut.result) for t, fut in zip(tasks, futs)]
     else:
-        for t in tasks:
-            try:
-                results.append(_one_convergence_run(t) + ("ok",))
-            except Exception as exc:
-                results.append((t[0], t[1], t[2], math.nan, f"failed: {exc}"))
+        results = [outcome(t, lambda t=t: _one_convergence_run(t)) for t in tasks]
     config = {"command": "convergence", "alpha": alpha, "h": h, "T": T,
               "dts": dts, "schemes": ["fidr", "fir", "gl"], "mode_counts": [9, 25]}
     rows = [
@@ -236,10 +232,6 @@ def cmd_property_suite(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--config", default=None, help="JSON file with defaults")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("FRACCAPUTO_JOBS", "1")),
-                   help="parallel runs for sweeps (env FRACCAPUTO_JOBS)")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _add_soe_flags(p: argparse.ArgumentParser) -> None:
@@ -276,6 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--levels", type=int, default=None, help="number of halvings")
+    p.add_argument("--jobs", type=int,
+                   default=int(os.environ.get("FRACCAPUTO_JOBS", "1")),
+                   help="parallel runs for sweeps (env FRACCAPUTO_JOBS)")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("solve", help="single run, JSON report")
@@ -295,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("property-suite", help="seeded inequality checks")
     _add_common(p)
     p.add_argument("--quick", action="store_true", help="thin the dense scans")
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_property_suite)
 
     return parser

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .schemes import TimeGrid, gl_coefficients, mode_step_coeffs
-from .soe import SoEApproximation, SoEParams, build_soe
+from .schemes import FastHistory, GLHistory, L1History, TimeGrid, _check_order
+from .soe import SoEParams, build_soe
 
 __all__ = [
     "SpaceGrid",
@@ -62,10 +62,6 @@ class SpaceGrid:
     def h(self) -> float:
         return (self.x_hi - self.x_lo) / self.n_cells
 
-    @property
-    def length(self) -> float:
-        return self.x_hi - self.x_lo
-
     def points(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n_cells + 1)
 
@@ -87,8 +83,7 @@ class DiffusionProblem:
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("order must lie in (0, 1)")
+        _check_order(self.alpha)
         if self.source_kind not in ("linear", "reaction"):
             raise ValueError(f"unknown source kind {self.source_kind!r}")
 
@@ -110,137 +105,14 @@ class SolveReport:
     snapshots: list = field(default_factory=list)
 
     def to_dict(self, include_snapshots: bool = False) -> dict:
-        d = {
-            "scheme": self.scheme,
-            "dt": self.tgrid.dt,
-            "n_steps": self.tgrid.n_steps,
-            "horizon": self.tgrid.horizon,
-            "x_lo": self.sgrid.x_lo,
-            "x_hi": self.sgrid.x_hi,
-            "n_cells": self.sgrid.n_cells,
-            "h": self.sgrid.h,
-            "n_modes_interior": self.n_modes_interior,
-            "n_modes_boundary": self.n_modes_boundary,
-            "kernel_bound_interior": self.kernel_bound_interior,
-            "kernel_bound_boundary": self.kernel_bound_boundary,
-            "global_error": self.global_error,
-            "related_error": self.related_error,
-            "wall_time": self.wall_time,
-        }
+        g, s = self.tgrid, self.sgrid
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("tgrid", "sgrid", "snapshots")}
+        d.update(dt=g.dt, n_steps=g.n_steps, horizon=g.horizon,
+                 x_lo=s.x_lo, x_hi=s.x_hi, n_cells=s.n_cells, h=s.h)
         if include_snapshots:
-            d["snapshots"] = [
-                {"t": t, "values": u.tolist()} for t, u in self.snapshots
-            ]
+            d["snapshots"] = [{"t": t, "values": u.tolist()} for t, u in self.snapshots]
         return d
-
-
-# ---------------------------------------------------------------------------
-# per-scheme history evaluators over an array of grid points
-#
-# Each evaluator exposes the split D u^n = sigma * u^n + r^n with r^n known
-# before the solve; ``known(n)`` advances internal recurrences and returns
-# r^n, ``push(u)`` records the accepted field.
-
-class _FastHistory:
-    def __init__(self, scheme: str, alpha: float, dt: float, soe: SoEApproximation,
-                 u0: np.ndarray):
-        self.scheme = scheme
-        self.alpha = alpha
-        self.dt = dt
-        self.soe = soe
-        self.u0 = u0.copy()
-        self.u_prev = u0.copy()
-        self.u_prev2 = np.zeros_like(u0)
-        self.modes = np.zeros((soe.n_modes, len(u0)))
-        self.decay, self.c1, self.c2 = (
-            c[:, None] for c in mode_step_coeffs(scheme, soe.nodes, dt)
-        )
-        self.g1 = math.gamma(1.0 - alpha)
-        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
-
-    def known(self, n: int) -> np.ndarray:
-        if n >= 2:
-            self.modes *= self.decay
-            self.modes += self.c1 * self.u_prev[None, :]
-            self.modes += self.c2 * self.u_prev2[None, :]
-        hist = self.soe.weights @ self.modes
-        if self.scheme == "fir":
-            t_n = n * self.dt
-            hist = (
-                self.u_prev / self.dt ** self.alpha
-                - self.u0 / t_n ** self.alpha
-                - self.alpha * hist
-            )
-        return -self.sigma * self.u_prev + hist / self.g1
-
-    def push(self, u: np.ndarray) -> None:
-        self.u_prev2 = self.u_prev
-        self.u_prev = u.copy()
-
-
-class _L1History:
-    def __init__(self, alpha: float, dt: float, n_steps: int, u0: np.ndarray):
-        self.alpha = alpha
-        self.dt = dt
-        l = np.arange(n_steps + 1, dtype=float)
-        self.a = (l + 1.0) ** (1.0 - alpha) - l ** (1.0 - alpha)
-        self.hist = np.empty((n_steps + 1, len(u0)))
-        self.hist[0] = u0
-        self.filled = 1
-        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
-
-    def known(self, n: int) -> np.ndarray:
-        a = self.a
-        r = -a[n - 1] * self.hist[0]
-        if n >= 2:
-            diffs = a[: n - 1] - a[1:n]
-            r -= diffs @ self.hist[n - 1:0:-1]
-        return self.sigma * r
-
-    def push(self, u: np.ndarray) -> None:
-        self.hist[self.filled] = u
-        self.filled += 1
-
-
-class _GLHistory:
-    """Binomial-weight evaluator applied to u - u0.
-
-    The raw fractional difference targets the derivative with
-    fractional-type initial values; shifting by the initial field keeps it
-    consistent with the integer-initial-value derivative used everywhere
-    else when u0 != 0.
-    """
-
-    def __init__(self, p: float, dt: float, n_steps: int, u0: np.ndarray):
-        self.p = p
-        self.dt = dt
-        self.c = gl_coefficients(p, n_steps)
-        self.u0 = u0.copy()
-        self.hist = np.empty((n_steps + 1, len(u0)))
-        self.hist[0] = 0.0
-        self.filled = 1
-        self.sigma = dt ** -p
-
-    def known(self, n: int) -> np.ndarray:
-        # D u^n = sigma * (u^n - u0) + sigma * sum_{m>=1} c_m (u^{n-m} - u0)
-        return self.sigma * (self.c[1: n + 1] @ self.hist[n - 1::-1]) - self.sigma * self.u0
-
-    def push(self, u: np.ndarray) -> None:
-        self.hist[self.filled] = u - self.u0
-        self.filled += 1
-
-
-def _make_history(scheme: str, alpha: float, tgrid: TimeGrid, u0: np.ndarray,
-                  soe_params: Optional[SoEParams]):
-    if scheme in ("fir", "fidr"):
-        beta = alpha + 1.0 if scheme == "fir" else alpha
-        soe = build_soe(beta, soe_params, tgrid.dt, tgrid.horizon)
-        return _FastHistory(scheme, alpha, tgrid.dt, soe, u0), soe
-    if scheme == "l1":
-        return _L1History(alpha, tgrid.dt, tgrid.n_steps, u0), None
-    if scheme == "gl":
-        return _GLHistory(alpha, tgrid.dt, tgrid.n_steps, u0), None
-    raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
 
 
 def _banded_matrix(n_pts: int, h: float, sigma: float, sigma_b: float) -> np.ndarray:
@@ -288,8 +160,19 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         if mismatch > 1e-10 * max(1.0, np.max(np.abs(u0))):
             raise ValueError("exact solution disagrees with initial data at t=0")
 
-    interior, soe_i = _make_history(scheme, alpha, tgrid, u0, soe_params)
-    boundary, soe_b = _make_history(scheme, alpha / 2.0, tgrid, u0[[0, -1]], soe_params)
+    evaluators, kernels = [], []
+    for order, start in ((alpha, u0), (alpha / 2.0, u0[[0, -1]])):
+        if scheme in ("fir", "fidr"):
+            kernel = build_soe(order + 1.0 if scheme == "fir" else order, soe_params,
+                               dt, tgrid.horizon)
+            evaluator = FastHistory(scheme, order, dt, start, kernel.n_modes)
+            evaluator.use_kernel(kernel)
+            kernels.append(kernel)
+        else:
+            evaluator = (L1History if scheme == "l1" else GLHistory)(order, dt, start, n_steps)
+        evaluators.append(evaluator)
+    interior, boundary = evaluators
+    soe_i, soe_b = kernels or (None, None)
 
     ab = _banded_matrix(len(x), h, interior.sigma, boundary.sigma)
 
@@ -303,8 +186,8 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     t_start = time.perf_counter()
     for n in range(1, n_steps + 1):
         t_n = n * dt
-        r = interior.known(n)
-        r_b = boundary.known(n)
+        r = interior.known()
+        r_b = boundary.known()
         if problem.source_kind == "linear":
             f = np.asarray(problem.source(x, t_n), dtype=float)
         else:
@@ -312,13 +195,17 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         rhs = f - r
         rhs[0] -= (2.0 / h) * r_b[0]
         rhs[-1] -= (2.0 / h) * r_b[1]
-        u = solve_banded((1, 1), ab, rhs)
+        # the finiteness check below replaces scipy's input check, so a
+        # blow-up surfaces as a numerical error rather than bad input
+        u = solve_banded((1, 1), ab, rhs, check_finite=False)
+        if not np.all(np.isfinite(u)):
+            raise FloatingPointError(f"{scheme} field is not finite at step {n} (t = {t_n:g})")
         interior.push(u)
         boundary.push(u[[0, -1]])
         if problem.exact is not None:
-            u_ex = np.asarray(problem.exact(x, t_n), dtype=float)
-            err_sq_sum += dt * float(np.max(np.abs(u - u_ex))) ** 2
-            exact_sq_sum += dt * float(np.max(np.abs(u_ex))) ** 2
+            err_sq, ex_sq = _norm_terms(u, problem.exact(x, t_n), dt)
+            err_sq_sum += err_sq
+            exact_sq_sum += ex_sq
         if n % snapshot_stride == 0 or n == n_steps:
             snapshots.append((t_n, u.copy()))
         u_prev = u
@@ -355,8 +242,7 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
     its gradient at both endpoints, so the fractional boundary relations
     are met exactly, and the forcing below is the residual D^a u - u_xx.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("order must lie in (0, 1)")
+    _check_order(alpha)
     pi = math.pi
     g4a = math.gamma(4.0 + alpha)
 
@@ -400,14 +286,19 @@ def nonlinear_problem(alpha: float, x_lo: float = -1.0, x_hi: float = 1.0) -> Di
 # ---------------------------------------------------------------------------
 # error norms over a stored field history
 
+def _norm_terms(u: np.ndarray, u_ex, dt: float) -> tuple:
+    """One step's terms dt * max|u - u_ex|**2 and dt * max|u_ex|**2 of the
+    global error and of the exact solution's norm."""
+    u_ex = np.asarray(u_ex, dtype=float)
+    return dt * float(np.max(np.abs(u - u_ex))) ** 2, dt * float(np.max(np.abs(u_ex))) ** 2
+
+
 def _norm_sums(history: np.ndarray, exact, tgrid: TimeGrid, sgrid: SpaceGrid):
     x = sgrid.points()
-    err_sq = 0.0
-    ex_sq = 0.0
+    err_sq = ex_sq = 0.0
     for k in range(1, tgrid.n_steps + 1):
-        u_ex = np.asarray(exact(x, k * tgrid.dt), dtype=float)
-        err_sq += tgrid.dt * float(np.max(np.abs(history[k] - u_ex))) ** 2
-        ex_sq += tgrid.dt * float(np.max(np.abs(u_ex))) ** 2
+        err_k, ex_k = _norm_terms(history[k], exact(x, k * tgrid.dt), tgrid.dt)
+        err_sq, ex_sq = err_sq + err_k, ex_sq + ex_k
     return err_sq, ex_sq
 
 

@@ -13,11 +13,9 @@ implementations, and reports a status:
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .analysis import truncation_bound
+from .analysis import theorem_constants, truncation_bound
 from .schemes import (
     caputo_reference,
     fidr_step,
@@ -43,9 +41,11 @@ _SLACK = 1e-12  # absolute-plus-relative float slack on inequality checks
 
 
 def _result(name: str, status: str, checked: int, violations: list, **extra) -> dict:
-    out = {"name": name, "status": status, "checked": checked, "violations": violations}
-    out.update(extra)
-    return out
+    return {"name": name, "status": status, "checked": checked, "violations": violations, **extra}
+
+
+def _verdict(name: str, checked: int, violations: list, **extra) -> dict:
+    return _result(name, "fail" if violations else "pass", checked, violations, **extra)
 
 
 def _run_fast(scheme: str, alpha: float, g: np.ndarray, dt: float, soe) -> np.ndarray:
@@ -57,6 +57,23 @@ def _run_fast(scheme: str, alpha: float, g: np.ndarray, dt: float, soe) -> np.nd
     return vals
 
 
+def _coercivity(name: str, seed: int, n_funcs: int, n_steps: int, alpha: float, dt: float,
+                soe, consts, **extra) -> dict:
+    """dt * sum_k (D g^k) g^k >= mu/2 * dt * sum (g^k)^2 - rho * (g^0)^2 on
+    random mesh functions g, D the fast rule that ``consts`` describes."""
+    rng = np.random.default_rng(seed)
+    violations = []
+    for k in range(n_funcs):
+        g = rng.normal(size=n_steps + 1)
+        g[0] = 2.0 * rng.normal()
+        vals = _run_fast(consts.variant, alpha, g, dt, soe)
+        lhs = dt * float(np.dot(vals, g[1:]))
+        rhs = consts.mu / 2.0 * dt * float(np.sum(g[1:] ** 2)) - consts.rho * g[0] ** 2
+        if lhs < rhs - _SLACK * max(1.0, abs(rhs)):
+            violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
+    return _verdict(name, n_funcs, violations, **extra)
+
+
 def fir_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
                          alpha: float = 0.3, dt: float = 0.05,
                          params: SoEParams | None = None) -> dict:
@@ -64,29 +81,17 @@ def fir_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
 
     dt * sum_k (D g^k) g^k >= (t_n^-a - 2 a eps t_{n-1})/(2 G(1-a)) * dt * sum (g^k)^2
                             - (t_n^{1-a} - a(1-a) eps t_{n-1} dt)/G(2-a) * (g^0)^2
-    with eps the certified bound of the kernel built at delta = dt.
+    with eps the certified bound of the kernel built at delta = dt: the
+    constants mu/2 and rho of ``theorem_constants``.
     """
     params = params or SoEParams.from_ladder(0, 12, 6, 10)
     t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
     soe = build_soe(1.0 + alpha, params, dt, t_n)
     eps = soe.bound
-    if t_n ** -alpha - 2.0 * alpha * eps * t_prev <= 0.0:
+    consts = theorem_constants(alpha, t_n, t_prev, dt, eps, "FIR")
+    if consts.mu <= 0.0:
         return _result("fir_coercivity", "inadmissible", 0, [], eps=eps)
-    g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
-    rng = np.random.default_rng(seed)
-    violations = []
-    for k in range(n_funcs):
-        g = rng.normal(size=n_steps + 1)
-        g[0] = 2.0 * rng.normal()
-        vals = _run_fast("FIR", alpha, g, dt, soe)
-        lhs = dt * float(np.dot(vals, g[1:]))
-        rhs = (t_n ** -alpha - 2.0 * alpha * eps * t_prev) / (2.0 * g1) * dt * float(
-            np.sum(g[1:] ** 2)
-        ) - (t_n ** (1.0 - alpha) - alpha * (1.0 - alpha) * eps * t_prev * dt) / g2 * g[0] ** 2
-        if lhs < rhs - _SLACK * max(1.0, abs(rhs)):
-            violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
-    return _result("fir_coercivity", "pass" if not violations else "fail",
-                   n_funcs, violations, eps=eps)
+    return _coercivity("fir_coercivity", seed, n_funcs, n_steps, alpha, dt, soe, consts, eps=eps)
 
 
 def fidr_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
@@ -96,7 +101,9 @@ def fidr_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
     """Quadratic-form lower bound of the increment-based fast rule.
 
     dt * sum_k (D g^k) g^k >= dt (t_n^-a - eps0)/(2 G(1-a)) * sum (g^k)^2
-        - (dt^{1-a}/(1-a) + t_{n-1} dt^-a)/(2 G(1-a)) * (g^0)^2.
+        - (dt^{1-a}/(1-a) + t_{n-1} dt^-a)/(2 G(1-a)) * (g^0)^2,
+
+    the constants mu/2 and rho of ``theorem_constants``.
 
     Skipped as inadmissible when eps0 >= t_n^-a or when eps0 exceeds the
     slack a/((1-a) dt^a) that caps the leading unrolled coefficient.
@@ -105,23 +112,11 @@ def fidr_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
     t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
     soe = build_soe(alpha, params, dt, t_n)
     eps0 = soe.bound if eps_override is None else eps_override
-    if eps0 >= t_n ** -alpha or eps0 > alpha / ((1.0 - alpha) * dt ** alpha):
+    consts = theorem_constants(alpha, t_n, t_prev, dt, eps0, "FIDR")
+    if consts.mu <= 0.0 or eps0 > alpha / ((1.0 - alpha) * dt ** alpha):
         return _result("fidr_coercivity", "inadmissible", 0, [], eps0=eps0)
-    g1 = math.gamma(1.0 - alpha)
-    rng = np.random.default_rng(seed)
-    violations = []
-    for k in range(n_funcs):
-        g = rng.normal(size=n_steps + 1)
-        g[0] = 2.0 * rng.normal()
-        vals = _run_fast("FIDR", alpha, g, dt, soe)
-        lhs = dt * float(np.dot(vals, g[1:]))
-        rhs = dt * (t_n ** -alpha - eps0) / (2.0 * g1) * float(np.sum(g[1:] ** 2)) - (
-            dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha
-        ) / (2.0 * g1) * g[0] ** 2
-        if lhs < rhs - _SLACK * max(1.0, abs(rhs)):
-            violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
-    return _result("fidr_coercivity", "pass" if not violations else "fail",
-                   n_funcs, violations, eps0=eps0)
+    return _coercivity("fidr_coercivity", seed, n_funcs, n_steps, alpha, dt, soe, consts,
+                       eps0=eps0)
 
 
 def mesh_sobolev_suite(seed: int, n_funcs: int = 100) -> dict:
@@ -145,8 +140,7 @@ def mesh_sobolev_suite(seed: int, n_funcs: int = 100) -> dict:
             rhs = theta * grad_sq + (1.0 / theta + 1.0 / L) * norm_sq
             if sup_sq > rhs + _SLACK * max(1.0, rhs):
                 violations.append({"instance": k, "theta": theta, "lhs": sup_sq, "rhs": rhs})
-    return _result("mesh_sobolev", "pass" if not violations else "fail",
-                   checked, violations)
+    return _verdict("mesh_sobolev", checked, violations)
 
 
 def summation_by_parts_suite(seed: int, n_funcs: int = 100) -> dict:
@@ -164,8 +158,7 @@ def summation_by_parts_suite(seed: int, n_funcs: int = 100) -> dict:
         rhs = h * float(np.sum(dx ** 2))
         if abs(lhs - rhs) > 1e-11 * max(1.0, abs(rhs)):
             violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
-    return _result("summation_by_parts", "pass" if not violations else "fail",
-                   n_funcs, violations)
+    return _verdict("summation_by_parts", n_funcs, violations)
 
 
 def truncation_suite(alphas=(0.1, 0.5, 0.9), dt: float = 1e-3, n_max: int = 1000,
@@ -195,8 +188,10 @@ def truncation_suite(alphas=(0.1, 0.5, 0.9), dt: float = 1e-3, n_max: int = 1000
             (t ** 2, 2.0, lambda n: caputo_reference("power", alpha, t[n], sigma=2.0)),
             (np.sin(t), 1.0, lambda n: caputo_reference("sin", alpha, t[n])),
         ):
-            vals = _l1_all_steps(w, u, dt) if variant == "L1" else _run_fast(
-                "FIDR", alpha, u, dt, soe)
+            if variant == "L1":
+                vals = np.array([l1_step(w, u[: n + 1], dt) for n in range(1, n_max + 1)])
+            else:
+                vals = _run_fast("FIDR", alpha, u, dt, soe)
             for n in steps:
                 checked += 1
                 # max|u'| on [0, t_{n-1}]: 1 for sin, 2 t_{n-1} for t**2
@@ -207,12 +202,7 @@ def truncation_suite(alphas=(0.1, 0.5, 0.9), dt: float = 1e-3, n_max: int = 1000
                 gap = abs(vals[n - 1] - ref(n))
                 if gap > bnd:
                     violations.append({"alpha": alpha, "n": n, "gap": gap, "bound": bnd})
-    return _result(f"truncation_{variant.lower()}", "pass" if not violations else "fail",
-                   checked, violations)
-
-
-def _l1_all_steps(w, u, dt) -> np.ndarray:
-    return np.array([l1_step(w, u[: n + 1], dt) for n in range(1, len(u))])
+    return _verdict(f"truncation_{variant.lower()}", checked, violations)
 
 
 def gl_stability_suite(seed: int, n_pairs: int = 20, n_steps: int = 2000,
@@ -230,8 +220,7 @@ def gl_stability_suite(seed: int, n_pairs: int = 20, n_steps: int = 2000,
     ]
     bad_contract = [(p, str(c)) for p, c in pairs if c.real > 0.0]
     if bad_contract:
-        return _result("gl_stability", "out-of-contract", 0, [],
-                       offending=bad_contract)
+        return _result("gl_stability", "out-of-contract", 0, [], offending=bad_contract)
     violations = []
     for p, c in pairs:
         dt = float(rng.uniform(1e-3, 1e-1))
@@ -243,8 +232,7 @@ def gl_stability_suite(seed: int, n_pairs: int = 20, n_steps: int = 2000,
             u[n] = -np.dot(cm[1: n + 1], u[n - 1:: -1]) / (1.0 - z)
         if float(np.max(np.abs(u))) > abs(u[0]) + 1e-12:
             violations.append({"p": p, "c": str(c), "max": float(np.max(np.abs(u)))})
-    return _result("gl_stability", "pass" if not violations else "fail",
-                   len(pairs), violations)
+    return _verdict("gl_stability", len(pairs), violations)
 
 
 def run_property_suite(seed: int, quick: bool = False) -> dict:

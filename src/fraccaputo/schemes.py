@@ -1,23 +1,21 @@
-"""Streaming evaluators of the Caputo derivative on a uniform grid.
+"""Evaluators of the Caputo derivative on a uniform grid.
 
-Four discretizations consume samples u^0, u^1, ... one step at a time:
+Four discretizations, one evaluator class each, consume samples u^0,
+u^1, ... one step at a time, as fields in the diffusion solver and as
+scalar streams through the ``*_step`` functions:
 
-* ``l1_step``   -- direct piecewise-linear rule, O(n) per step;
-* ``fir_step``  -- fast rule compressing the integrated-by-parts history
+* ``l1``   -- direct piecewise-linear rule, O(n) per step;
+* ``fir``  -- fast rule compressing the integrated-by-parts history
   kernel t**-(1+alpha), O(N_modes) per step;
-* ``fidr_step`` -- fast rule compressing t**-alpha directly against the
+* ``fidr`` -- fast rule compressing t**-alpha directly against the
   sample increments, O(N_modes) per step;
-* ``gl_step``   -- fractional-difference rule with binomial weights over
-  the full history (the storage-hungry baseline).
-
-Both fast rules reduce to the two-point local term at the first step and
-start their mode recurrences at the second, where two back samples first
-exist.
+* ``gl``   -- fractional-difference rule with binomial weights over the
+  full history (the storage-hungry baseline), in Caputo form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +24,16 @@ from .soe import SoEApproximation
 
 __all__ = [
     "TimeGrid",
-    "L1Weights",
-    "HistoryState",
-    "l1_weights",
-    "l1_step",
+    "FastHistory",
+    "L1History",
+    "GLHistory",
     "new_history",
     "fir_step",
     "fidr_step",
-    "fidr_expanded_weights",
-    "gl_coefficients",
     "gl_step",
+    "gl_coefficients",
+    "l1_weights",
+    "l1_step",
     "caputo_reference",
     "ReferenceError",
 ]
@@ -69,7 +67,7 @@ class TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# numerically stable coefficient helpers (shared with the PDE stepper)
+# numerically stable coefficient helpers
 
 def phi(x):
     """(1 - exp(-x)) / x, the mode gain of the increment-based fast rule."""
@@ -79,38 +77,29 @@ def phi(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _series(coeffs, x):
-    acc = np.zeros_like(x)
+def _series_or_closed(x, coeffs, closed):
+    """Taylor series with ``coeffs`` below x = 0.5, where the closed form
+    cancels, and ``closed(x)`` above."""
+    x = np.asarray(x, dtype=float)
+    small = x < _SERIES_CUT
+    xs = np.where(small, x, 1.0)
+    ser = np.zeros_like(xs)
     for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
+        ser = ser * xs + c
+    out = np.where(small, ser, closed(np.where(small, 1.0, x)))
+    return float(out) if out.ndim == 0 else out
 
 
 def lam1(x):
-    """(exp(-x) - 1 + x) / x**2; series below x=0.5 to dodge cancellation."""
-    x = np.asarray(x, dtype=float)
-    small = x < _SERIES_CUT
-    xs = np.where(small, x, 1.0)
-    coeffs = [(-1.0) ** k / math.factorial(k + 2) for k in range(19)]
-    ser = _series(coeffs, xs)
-    xb = np.where(small, 1.0, x)
-    closed = (np.exp(-xb) - 1.0 + xb) / xb ** 2
-    out = np.where(small, ser, closed)
-    return float(out) if out.ndim == 0 else out
+    """(exp(-x) - 1 + x) / x**2."""
+    return _series_or_closed(x, [(-1.0) ** k / math.factorial(k + 2) for k in range(19)],
+                             lambda xb: (np.exp(-xb) - 1.0 + xb) / xb ** 2)
 
 
 def lam2(x):
-    """(1 - exp(-x) - x*exp(-x)) / x**2; series below x=0.5."""
-    x = np.asarray(x, dtype=float)
-    small = x < _SERIES_CUT
-    xs = np.where(small, x, 1.0)
-    coeffs = [(-1.0) ** k * (k + 1) / math.factorial(k + 2) for k in range(19)]
-    ser = _series(coeffs, xs)
-    xb = np.where(small, 1.0, x)
-    ex = np.exp(-xb)
-    closed = (1.0 - ex - xb * ex) / xb ** 2
-    out = np.where(small, ser, closed)
-    return float(out) if out.ndim == 0 else out
+    """(1 - exp(-x) - x*exp(-x)) / x**2."""
+    return _series_or_closed(x, [(-1.0) ** k * (k + 1) / math.factorial(k + 2) for k in range(19)],
+                             lambda xb: (1.0 - np.exp(-xb) - xb * np.exp(-xb)) / xb ** 2)
 
 
 def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
@@ -131,153 +120,147 @@ def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# direct L1 rule
+# evaluators: one class per rule, shared by the solver and the steppers
 
-@dataclass(frozen=True)
-class L1Weights:
-    """Coefficients a_l = (l+1)**(1-alpha) - l**(1-alpha), l = 0, 1, ..."""
-
-    alpha: float
-    a_coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("order must lie in (0, 1)")
+def _check_order(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("order must lie in (0, 1)")
 
 
-def l1_weights(alpha: float, n_max: int) -> L1Weights:
-    """Coefficients a_0 .. a_{n_max-1} for grids of up to n_max steps."""
-    l = np.arange(n_max, dtype=float)
-    return L1Weights(alpha, (l + 1.0) ** (1.0 - alpha) - l ** (1.0 - alpha))
+def _contract(coeffs: np.ndarray, rows: np.ndarray):
+    """sum_k coeffs[k] * rows[k] over the leading axis, rows of any shape; np.dot
+    for streams and matmul for fields, whose different roundings tests pin."""
+    if rows.ndim == 1:
+        return np.dot(coeffs, rows)
+    return (coeffs @ rows.reshape(len(rows), -1)).reshape(rows.shape[1:])
 
 
-def l1_step(weights: L1Weights, buffer, dt: float) -> float:
-    """Direct rule on the full history u^0..u^n (n = len(buffer) - 1).
+class _Evaluator:
+    """D u^n = sigma * (u^n - anchor) + history_term() on samples of any
+    shape (a scalar stream has shape ()).  The solver calls ``known()``,
+    the part of D u^n fixed before the solve, then ``push(u^n)``; a stream
+    calls ``step(u^n)``, which keeps the local term a difference."""
 
-    value = dt**-a/Gamma(2-a) * [u^n - sum_{j=1}^{n-1}(a_{j-1}-a_j)u^{n-j}
-                                 - a_{n-1} u^0]
-    """
-    u = np.asarray(buffer, dtype=float)
-    n = len(u) - 1
-    if n < 1:
-        raise ValueError("need at least two samples (one step)")
-    a = weights.a_coeffs
-    if len(a) < n:
-        raise ValueError(f"coefficient table too short: have {len(a)}, need {n}")
-    val = u[n]
-    if n >= 2:
-        val -= np.dot(a[: n - 1] - a[1:n], u[n - 1:0:-1])
-    val -= a[n - 1] * u[0]
-    return float(dt ** -weights.alpha / math.gamma(2.0 - weights.alpha) * val)
+    step_index = 0
+
+    def known(self):
+        return self.history_term() - self.sigma * self.anchor
+
+    def step(self, u):
+        value = self.sigma * (u - self.anchor) + self.history_term()
+        self.push(u)
+        return value
 
 
-# ---------------------------------------------------------------------------
-# streaming state shared by all schemes
+class FastHistory(_Evaluator):
+    """fir or fidr on the modes of a compressed kernel; anchor u^{n-1}.
+    From step 2 on, modes <- decay*modes + c1*u^{n-1} + c2*u^{n-2} with
+    the coefficients of ``mode_step_coeffs``; fir adds the boundary terms
+    of its integration by parts, which use u^0."""
 
-@dataclass(frozen=True)
-class HistoryState:
-    """Per-scheme recurrence state between steps.
+    def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
+        _check_order(alpha)
+        self.scheme, self.alpha, self.dt, self.soe = scheme, alpha, dt, None
+        self.u0 = self.anchor = np.array(u0, dtype=float)
+        self.u_prev2 = np.zeros_like(self.u0)
+        self.modes = np.zeros((n_modes,) + self.u0.shape)
+        self.g1 = math.gamma(1.0 - alpha)
+        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
 
-    ``modes`` carries the exponential history modes of the fast rules and
-    stays all-zero through step 1; ``buffer`` holds the full sample path
-    for the direct rules and is absent otherwise.  ``last_two`` is
-    (u^{n-1}, u^{n-2}) with n = step_index; the first sample is kept in
-    ``u0`` because the integrated-by-parts rule references it directly.
-    """
+    def use_kernel(self, soe: SoEApproximation) -> None:
+        """Run on ``soe``; its recurrence coefficients are built once."""
+        if soe is self.soe:
+            return
+        if soe.n_modes != len(self.modes):
+            raise ValueError("mode count of state and kernel disagree")
+        per_mode = (-1,) + (1,) * self.u0.ndim
+        self.decay, self.c1, self.c2 = (
+            c.reshape(per_mode) for c in mode_step_coeffs(self.scheme, soe.nodes, self.dt))
+        self.soe = soe
 
-    scheme: str
-    alpha: float
-    dt: float
-    step_index: int
-    modes: np.ndarray | None
-    buffer: tuple | None
-    last_two: tuple
-    u0: float
+    def history_term(self):
+        n, u_prev = self.step_index + 1, self.anchor
+        if n >= 2:
+            self.modes *= self.decay
+            self.modes += self.c1 * u_prev
+            self.modes += self.c2 * self.u_prev2
+        hist = _contract(self.soe.weights, self.modes)
+        if self.scheme == "fir":
+            hist = (u_prev / self.dt ** self.alpha - self.u0 / (n * self.dt) ** self.alpha
+                    - self.alpha * hist)
+        return hist / self.g1
 
-    def __post_init__(self) -> None:
-        if self.scheme not in ("L1", "FIR", "FIDR", "GL"):
-            raise ValueError(f"unknown scheme tag {self.scheme!r}")
-
-
-def new_history(scheme: str, alpha: float, dt: float, u0: float,
-                n_modes: int = 0) -> HistoryState:
-    """Fresh state at step 0 holding only the initial sample."""
-    scheme = scheme.upper()
-    fast = scheme in ("FIR", "FIDR")
-    return HistoryState(
-        scheme=scheme,
-        alpha=alpha,
-        dt=dt,
-        step_index=0,
-        modes=np.zeros(n_modes) if fast else None,
-        buffer=None if fast else (u0,),
-        last_two=(u0, math.nan),
-        u0=u0,
-    )
+    def push(self, u) -> None:
+        self.u_prev2, self.anchor = self.anchor, np.array(u, dtype=float)
+        self.step_index += 1
 
 
-def _check_fast_state(state: HistoryState, soe: SoEApproximation, tag: str) -> None:
-    if state.scheme != tag:
-        raise ValueError(f"state built for {state.scheme}, stepped as {tag}")
-    if state.modes is None or len(state.modes) != soe.n_modes:
-        raise ValueError("mode count of state and kernel disagree")
+class _DirectHistory(_Evaluator):
+    """Every sample so far less the anchor, in an array that doubles when
+    full, with a coefficient table as long; ``n_steps`` sizes it for a run
+    of known length."""
+
+    def __init__(self, alpha: float, dt: float, u0, n_steps: int = 1):
+        _check_order(alpha)
+        self.alpha, self.dt = alpha, dt
+        self.u0 = np.array(u0, dtype=float)
+        self.hist = np.empty((n_steps + 1,) + self.u0.shape)
+        self.hist[0] = self.u0 - self.anchor
+        self.coeffs = self._table(n_steps + 1)
+
+    def push(self, u) -> None:
+        k = self.step_index = self.step_index + 1
+        if k == len(self.hist):
+            self.hist = np.concatenate([self.hist, np.empty_like(self.hist)])
+            self.coeffs = self._table(2 * k)
+        self.hist[k] = u - self.anchor
 
 
-def fir_step(state: HistoryState, soe: SoEApproximation, u_n: float):
-    """One step of the integrated-by-parts fast rule (kernel t**-(1+a)).
+class L1History(_DirectHistory):
+    """Direct L1 rule, anchor 0: D u^n = sigma * [u^n - a_{n-1} u^0
+    - sum_{j=1}^{n-1} (a_{j-1}-a_j) u^{n-j}], a_l = (l+1)**(1-a) - l**(1-a)."""
 
-    Returns (value, new_state).  Mode recurrence (from step 2 on):
-    U_i <- e^{-s dt} U_i + (e^{-s dt}/(s^2 dt)) [(e^{-s dt}-1+s dt) u^{n-1}
-          + (1-e^{-s dt}-s dt e^{-s dt}) u^{n-2}]
-    """
-    _check_fast_state(state, soe, "FIR")
-    alpha, dt = state.alpha, state.dt
-    n = state.step_index + 1
-    u_prev, u_prev2 = state.last_two
-    decay, c1, c2 = mode_step_coeffs("fir", soe.nodes, dt)
-    modes = decay * state.modes + c1 * u_prev + c2 * u_prev2 if n >= 2 else state.modes.copy()
-    t_n = n * dt
-    value = (u_n - u_prev) / (dt ** alpha * math.gamma(2.0 - alpha)) + (
-        u_prev / dt ** alpha
-        - state.u0 / t_n ** alpha
-        - alpha * float(np.dot(soe.weights, modes))
-    ) / math.gamma(1.0 - alpha)
-    new = replace(state, step_index=n, modes=modes, last_two=(u_n, u_prev))
-    return value, new
+    scheme, anchor = "l1", 0.0
 
+    def __init__(self, alpha: float, dt: float, u0, n_steps: int = 1):
+        super().__init__(alpha, dt, u0, n_steps)
+        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
 
-def fidr_step(state: HistoryState, soe: SoEApproximation, u_n: float):
-    """One step of the increment-based fast rule (kernel t**-a).
+    def _table(self, length: int) -> np.ndarray:
+        l = np.arange(length, dtype=float)
+        return (l + 1.0) ** (1.0 - self.alpha) - l ** (1.0 - self.alpha)
 
-    Returns (value, new_state).  Mode recurrence (from step 2 on):
-    Psi_i <- e^{-s dt} Psi_i + (u^{n-1}-u^{n-2}) (1-e^{-s dt}) e^{-s dt}/(s dt)
-    """
-    _check_fast_state(state, soe, "FIDR")
-    alpha, dt = state.alpha, state.dt
-    n = state.step_index + 1
-    u_prev, u_prev2 = state.last_two
-    if n >= 2:
-        x = soe.nodes * dt
-        decay = np.exp(-x)
-        modes = decay * state.modes + (u_prev - u_prev2) * phi(x) * decay
-    else:
-        modes = state.modes.copy()
-    value = (u_n - u_prev) / (dt ** alpha * math.gamma(2.0 - alpha)) + float(
-        np.dot(soe.weights, modes)
-    ) / math.gamma(1.0 - alpha)
-    new = replace(state, step_index=n, modes=modes, last_two=(u_n, u_prev))
-    return value, new
+    def bracket(self, hist: np.ndarray, n: int, head=0.0):
+        """The bracket over samples hist[0..n-1], with ``head`` for u^n."""
+        if len(self.coeffs) < n:
+            raise ValueError(f"coefficient table too short: have {len(self.coeffs)}, need {n}")
+        a = self.coeffs
+        if n >= 2:
+            head = head - _contract(a[: n - 1] - a[1:n], hist[n - 1:0:-1])
+        return head - a[n - 1] * hist[0]
+
+    def history_term(self):
+        return self.sigma * self.bracket(self.hist, self.step_index + 1)
 
 
-def fidr_expanded_weights(soe: SoEApproximation, dt: float, n: int) -> np.ndarray:
-    """Coefficients a_l = sum_i w_i (1-e^{-s_i dt}) e^{-l s_i dt} / (s_i dt),
-    l = 0..n-1, of the unrolled increment-based rule."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    x = soe.nodes * dt
-    base = soe.weights * phi(x)
-    l = np.arange(n, dtype=float)
-    return np.exp(-np.multiply.outer(l, x)) @ base
+class GLHistory(_DirectHistory):
+    """Binomial rule in Caputo form, anchor u^0:
+    D u^n = dt**-p * sum_{m=0}^{n} c_m (u^{n-m} - u^0), c_m = (-1)^m C(p, m).
+    Differencing u - u^0 drops the Riemann-Liouville term of u^0 != 0."""
+
+    scheme = "gl"
+
+    def __init__(self, p: float, dt: float, u0, n_steps: int = 1):
+        self.anchor = np.array(u0, dtype=float)
+        super().__init__(p, dt, u0, n_steps)
+        self.sigma = dt ** -p
+
+    def _table(self, length: int) -> np.ndarray:
+        return gl_coefficients(self.alpha, length)
+
+    def history_term(self):
+        n = self.step_index + 1
+        return self.sigma * _contract(self.coeffs[1: n + 1], self.hist[n - 1::-1])
 
 
 def gl_coefficients(p: float, n: int) -> np.ndarray:
@@ -290,21 +273,55 @@ def gl_coefficients(p: float, n: int) -> np.ndarray:
     return c
 
 
-def gl_step(state: HistoryState, u_n: float, p: float):
-    """One fractional-difference step over the full buffer.
+# ---------------------------------------------------------------------------
+# scalar steppers: each returns (value, state), the state advanced in place
 
-    value = dt**-p * sum_{m=0}^{n} c_m u^{n-m}.  Returns (value, new_state).
-    """
-    if state.scheme != "GL":
-        raise ValueError(f"state built for {state.scheme}, stepped as GL")
-    if not 0.0 < p < 1.0:
-        raise ValueError("order must lie in (0, 1)")
-    u = np.array(state.buffer + (u_n,))
-    n = len(u) - 1
-    c = gl_coefficients(p, n)
-    value = float(state.dt ** -p * np.dot(c, u[::-1]))
-    new = replace(state, step_index=n, buffer=tuple(u), last_two=(u_n, state.last_two[0]))
-    return value, new
+def new_history(scheme: str, alpha: float, dt: float, u0, n_modes: int = 0):
+    """Evaluator of l1, fir, fidr or gl (any case) holding only u^0."""
+    scheme = scheme.lower()
+    if scheme in ("fir", "fidr"):
+        return FastHistory(scheme, alpha, dt, u0, n_modes)
+    if scheme in ("l1", "gl"):
+        return (L1History if scheme == "l1" else GLHistory)(alpha, dt, u0)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _fast_step(scheme: str, state, soe: SoEApproximation, u_n):
+    if getattr(state, "scheme", None) != scheme:
+        raise ValueError(f"state built for {getattr(state, 'scheme', None)}, stepped as {scheme}")
+    state.use_kernel(soe)
+    return state.step(u_n), state
+
+
+def fir_step(state: FastHistory, soe: SoEApproximation, u_n):
+    """Integrated-by-parts fast rule (kernel t**-(1+a))."""
+    return _fast_step("fir", state, soe, u_n)
+
+
+def fidr_step(state: FastHistory, soe: SoEApproximation, u_n):
+    """Increment-based fast rule (kernel t**-a)."""
+    return _fast_step("fidr", state, soe, u_n)
+
+
+def gl_step(state: GLHistory, u_n, p: float):
+    """Caputo fractional-difference rule of order p."""
+    if getattr(state, "scheme", None) != "gl" or p != state.alpha:
+        raise ValueError(f"state is not a gl state of order {p}")
+    return state.step(u_n), state
+
+
+def l1_weights(alpha: float, n_max: int) -> L1History:
+    """The L1 table a_0 .. a_{n_max-1} for ``l1_step`` (an empty evaluator)."""
+    return L1History(alpha, 1.0, 0.0, max(n_max - 1, 0))
+
+
+def l1_step(weights: L1History, buffer, dt: float) -> float:
+    """Direct rule on the full history u^0..u^n (n = len(buffer) - 1)."""
+    u = np.asarray(buffer, dtype=float)
+    if len(u) < 2:
+        raise ValueError("need at least two samples (one step)")
+    sigma = dt ** -weights.alpha / math.gamma(2.0 - weights.alpha)
+    return float(sigma * weights.bracket(u, len(u) - 1, u[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,15 @@ def caputo_graded_trapezoid(du, alpha, t, n=2_000_000, grade=3.0):
     f = du(t - v[1:]) * v[1:] ** (-alpha)
     first = du(t) * v[1] ** (1.0 - alpha) / (1.0 - alpha)
     return (first + np.trapezoid(f, v[1:])) / math.gamma(1.0 - alpha)
+
+
+def fidr_expanded_weights(soe, dt, n):
+    """Coefficients a_l = sum_i w_i (1-e^{-s_i dt}) e^{-l s_i dt} / (s_i dt),
+    l = 0..n-1, of the increment-based rule unrolled over its history, for
+    the kernel sum_i w_i e^{-s_i t} with every rate s_i > 0."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    x = soe.nodes * dt
+    base = soe.weights * -np.expm1(-x) / x
+    l = np.arange(n, dtype=float)
+    return np.exp(-np.multiply.outer(l, x)) @ base

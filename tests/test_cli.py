@@ -3,8 +3,11 @@ import re
 import time
 
 import numpy as np
+import pytest
 
+from fraccaputo import cli
 from fraccaputo.cli import main
+from fraccaputo.pde import DiffusionProblem
 
 
 def run_cli(tmp_path, *argv, name="out"):
@@ -114,6 +117,24 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
     code, _ = run_cli(tmp_path, "solve", "--modes", "17")
     assert code == 2
+
+
+def test_solve_blowup_exit_code(tmp_path, monkeypatch):
+    """A run whose field overflows is a numerical failure (4), not bad input (2)."""
+    monkeypatch.setattr(cli, "nonlinear_problem", lambda alpha, x_lo, x_hi: DiffusionProblem(
+        alpha, x_lo, x_hi, lambda x: np.full_like(x, 5.0), "reaction", lambda u: u ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _ = run_cli(tmp_path, "solve", "--problem", "nonlinear", "--alpha", "0.5",
+                          "--dt", "0.1", "--T", "2", "--h", "0.025", "--x-lo", "0",
+                          "--x-hi", "1", "--scheme", "fidr", "--modes", "25")
+    assert code == 4
+
+
+@pytest.mark.parametrize("argv", [["tail-table", "--seed", "3"], ["solve", "--jobs", "2"]])
+def test_unread_flags_rejected(argv):
+    """--seed belongs to property-suite and --jobs to convergence only."""
+    with pytest.raises(SystemExit):
+        main(argv)
 
 
 def test_property_suite_exit_and_ledger(tmp_path):

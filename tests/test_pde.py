@@ -38,6 +38,15 @@ def test_zero_data_gives_zero_solution(scheme, params):
         np.testing.assert_array_equal(u, 0.0)
 
 
+def test_blowup_raises_numerical_error():
+    """Reaction u**2 from u0 = 5 overflows within a few steps."""
+    prob = DiffusionProblem(0.5, 0.0, 1.0, lambda x: np.full_like(x, 5.0),
+                            "reaction", lambda u: u ** 2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="not finite at step"):
+        solve(prob, TimeGrid(0.1, 20), SpaceGrid(0.0, 1.0, 40), "fidr", BENCH)
+
+
 def test_manufactured_initial_slice():
     prob = manufactured_problem(0.3)
     x = np.array([0.0, PI / 2.0, PI])

@@ -8,7 +8,6 @@ from fraccaputo.schemes import (
     ReferenceError,
     TimeGrid,
     caputo_reference,
-    fidr_expanded_weights,
     fidr_step,
     fir_step,
     gl_coefficients,
@@ -22,7 +21,7 @@ from fraccaputo.schemes import (
 )
 from fraccaputo.soe import SoEApproximation, SoEParams, build_soe
 
-from oracles import caputo_graded_trapezoid
+from oracles import caputo_graded_trapezoid, fidr_expanded_weights
 
 # graded-trapezoid value of the order-0.3 derivative of sin at t = 0.7
 CAPUTO_SIN_03_07 = 0.768404715046512
@@ -39,8 +38,11 @@ def run_scheme(scheme, alpha, u, dt, soe=None, p=None):
             vals[n - 1], state = fir_step(state, soe, u[n])
         elif scheme == "FIDR":
             vals[n - 1], state = fidr_step(state, soe, u[n])
-        else:
+        elif scheme == "GL":
             vals[n - 1], state = gl_step(state, u[n], p)
+        else:   # the L1 evaluator, stepped through its known/push split
+            vals[n - 1] = state.sigma * u[n] + state.known()
+            state.push(u[n])
     return vals
 
 
@@ -69,9 +71,10 @@ def test_stable_coefficients_match_definitions():
 
 def test_l1_weights_invariants():
     w = l1_weights(0.4, 50)
-    assert w.a_coeffs[0] == 1.0
-    assert np.all(np.diff(w.a_coeffs) < 0)
-    assert np.all(w.a_coeffs > 0)
+    assert len(w.coeffs) == 50
+    assert w.coeffs[0] == 1.0
+    assert np.all(np.diff(w.coeffs) < 0)
+    assert np.all(w.coeffs > 0)
 
 
 def test_l1_constant_is_zero():
@@ -114,10 +117,35 @@ def test_fast_rules_zero_path():
     np.testing.assert_array_equal(vals, 0.0)
 
 
-def test_fidr_constant_exactly_zero():
-    soe = build_soe(0.4, SoEParams.from_ladder(0, 10, 4, 4), 1e-2, 1.0)
-    vals = run_scheme("FIDR", 0.4, np.full(15, 2.5), 1e-2, soe=soe)
-    np.testing.assert_array_equal(vals, 0.0)
+@pytest.mark.parametrize("scheme", ["fidr", "gl", "l1", "fir"])
+def test_constant_path_gives_zero(scheme):
+    """u = c with u0 = c != 0 has Caputo derivative 0 at every step: exactly
+    for fidr (c2 = -c1) and gl (differences of u - u0), to rounding for l1,
+    and within the kernel budget alpha*c*eps*t_{n-1}/Gamma(1-alpha) for fir."""
+    alpha, dt, c = 0.4, 1e-2, 2.5
+    u = np.full(15, c)
+    rounding = 1e-13 * c * dt ** -alpha
+    if scheme == "gl":
+        vals, tol = run_scheme("GL", alpha, u, dt, p=alpha), 0.0
+    elif scheme == "l1":
+        vals, tol = l1_all(alpha, u, dt), rounding
+    else:
+        soe = build_soe(alpha + 1.0 if scheme == "fir" else alpha, TIGHT, dt, 1.0)
+        vals = run_scheme(scheme.upper(), alpha, u, dt, soe=soe)
+        t_prev = dt * np.arange(len(vals))
+        tol = (0.0 if scheme == "fidr"
+               else alpha * c * soe.bound * t_prev / math.gamma(1.0 - alpha) + rounding)
+    assert np.all(np.abs(vals) <= tol)
+
+
+def test_l1_evaluator_matches_l1_step():
+    """The streaming L1 evaluator, whose history array starts small and
+    doubles, gives the values of l1_step on the whole stored path."""
+    rng = np.random.default_rng(3)
+    alpha, dt = 0.35, 0.02
+    u = rng.normal(size=40)
+    np.testing.assert_allclose(run_scheme("L1", alpha, u, dt), l1_all(alpha, u, dt),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_first_step_matches_direct_rule():
@@ -232,10 +260,10 @@ def test_gl_linear_path_first_order():
 
 def test_gl_buffer_grows_per_step():
     state = new_history("GL", 0.5, 0.1, 1.0)
-    assert state.buffer == (1.0,)
+    np.testing.assert_array_equal(state.hist[:1], [0.0])   # stored as u - u0
     _, state = gl_step(state, 2.0, 0.5)
     _, state = gl_step(state, 3.0, 0.5)
-    assert state.buffer == (1.0, 2.0, 3.0)
+    np.testing.assert_array_equal(state.hist[:3], [0.0, 1.0, 2.0])
     assert state.step_index == 2
 
 
