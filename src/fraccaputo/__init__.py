@@ -11,10 +11,8 @@ from .pde import (
     DiffusionProblem,
     SolveReport,
     SpaceGrid,
-    global_error,
     manufactured_problem,
     nonlinear_problem,
-    related_error,
     solve,
 )
 from .quadrature import ConstructionError, QuadRule, gauss_jacobi_power, gauss_legendre
@@ -23,7 +21,6 @@ from .schemes import (
     caputo_reference,
     fidr_step,
     fir_step,
-    gl_coefficients,
     gl_step,
     l1_step,
     l1_weights,
@@ -58,15 +55,12 @@ __all__ = [
     "fit_rate",
     "gauss_jacobi_power",
     "gauss_legendre",
-    "gl_coefficients",
     "gl_step",
-    "global_error",
     "l1_step",
     "l1_weights",
     "manufactured_problem",
     "new_history",
     "nonlinear_problem",
-    "related_error",
     "soe_error_bound",
     "soe_error_bound_terms",
     "soe_eval",

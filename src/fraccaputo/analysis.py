@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +24,17 @@ class ConvergenceStudy:
     fitted_slope: float
     intercept: float
     rejected: tuple = ()   # (dt, err) pairs dropped for err <= 0
-    flagged: tuple = ()    # (dt, err) pairs in a blow-up regime, if excluded
 
 
-def fit_rate(points, exclude_blowup: bool = False) -> ConvergenceStudy:
+def fit_rate(points) -> ConvergenceStudy:
     """Ordinary least squares on (log dt, log err).
 
     Points with non-positive error cannot be fit and are reported in
-    ``rejected``.  With ``exclude_blowup`` the fit keeps only the initial
-    run of points (scanning from the largest dt) on which the error is
-    non-increasing as dt shrinks; the remainder lands in ``flagged``.
-    Needs at least 3 usable points.
+    ``rejected``.  Needs at least 3 usable points.
     """
     pts = sorted(((float(dt), float(e)) for dt, e in points), key=lambda p: -p[0])
     rejected = tuple(p for p in pts if p[1] <= 0.0)
     pts = [p for p in pts if p[1] > 0.0]
-    flagged = ()
-    if exclude_blowup:
-        keep = [pts[0]] if pts else []
-        for prev, cur in zip(pts, pts[1:]):
-            if cur[1] > prev[1]:
-                break
-            keep.append(cur)
-        flagged = tuple(pts[len(keep):])
-        pts = keep
     if len(pts) < 3:
         raise ValueError("need at least 3 positive-error points to fit a rate")
     dts = np.array([p[0] for p in pts])
@@ -56,7 +43,7 @@ def fit_rate(points, exclude_blowup: bool = False) -> ConvergenceStudy:
     return ConvergenceStudy(
         dts=tuple(dts), errors=tuple(errs),
         fitted_slope=float(slope), intercept=float(intercept),
-        rejected=rejected, flagged=flagged,
+        rejected=rejected,
     )
 
 
@@ -73,34 +60,29 @@ class TheoremConstants:
     mu: float
     nu: float
     rho: float
-    varrho: float
     admissible: bool
-    inputs: dict = field(default_factory=dict)
 
 
 def theorem_constants(alpha: float, t_n: float, t_prev: float, dt: float,
                       eps: float, variant: str) -> TheoremConstants:
-    """Evaluate the four constants (mu, nu, rho, varrho) of either fast
-    scheme's discrete energy estimate."""
+    """Evaluate the constants (mu, nu, rho) of either fast scheme's
+    discrete energy estimate."""
     a2 = alpha / 2.0
     g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
-    g1b, g2b = math.gamma(1.0 - a2), math.gamma(2.0 - a2)
+    g1b = math.gamma(1.0 - a2)
     if variant == "FIR":
         mu = (t_n ** -alpha - 2.0 * alpha * eps * t_prev) / g1
         nu = (t_n ** -a2 - alpha * eps * t_prev) / g1b
         rho = (t_n ** (1.0 - alpha) - alpha * (1.0 - alpha) * eps * t_prev * dt) / g2
-        varrho = (t_n ** (1.0 - a2) - a2 * (1.0 - a2) * eps * t_prev * dt) / g2b
     elif variant == "FIDR":
         mu = (t_n ** -alpha - eps) / g1
         nu = (t_n ** -a2 - eps) / g1b
         rho = (dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha) / (2.0 * g1)
-        varrho = (dt ** (1.0 - a2) / (1.0 - a2) + t_prev * dt ** -a2) / (2.0 * g1b)
     else:
         raise ValueError(f"variant must be FIR or FIDR, got {variant!r}")
     return TheoremConstants(
-        variant=variant, mu=mu, nu=nu, rho=rho, varrho=varrho,
+        variant=variant, mu=mu, nu=nu, rho=rho,
         admissible=mu > 0.0 and nu > 0.0,
-        inputs={"alpha": alpha, "t_n": t_n, "t_prev": t_prev, "dt": dt, "eps": eps},
     )
 
 

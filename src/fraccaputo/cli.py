@@ -140,7 +140,7 @@ def cmd_soe_error(args) -> int:
     return EXIT_OK
 
 
-def _one_convergence_run(task) -> tuple:
+def _one_convergence_run(task) -> float | None:
     scheme, n_modes, dt, alpha, h, T, x_lo, x_hi, problem_name = task
     problem = (manufactured_problem(alpha) if problem_name == "manufactured"
                else nonlinear_problem(alpha, x_lo, x_hi))
@@ -150,8 +150,7 @@ def _one_convergence_run(task) -> tuple:
     sgrid = SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h)
     params = (SoEParams.from_ladder(*MODE_TABLE[n_modes])
               if scheme in ("fir", "fidr") else None)
-    report = solve(problem, tgrid, sgrid, scheme, params)
-    return scheme, n_modes, dt, report.related_error
+    return solve(problem, tgrid, sgrid, scheme, params).related_error
 
 
 def cmd_convergence(args) -> int:
@@ -163,34 +162,38 @@ def cmd_convergence(args) -> int:
     dt0 = float(_cfg(args, "dt"))
     levels = int(_cfg(args, "levels"))
     dts = [dt0 * 0.5 ** k for k in range(levels)]
-    tasks = []
-    # one row per (scheme, mode count, dt); the mode count is carried along
-    # for the storage-hungry baseline too, which ignores it
-    for scheme in ("fidr", "fir", "gl"):
-        for n_modes in (9, 25):
-            for dt in dts:
-                tasks.append((scheme, n_modes, dt, alpha, h, T,
-                              _cfg(args, "x_lo"), _cfg(args, "x_hi"), "manufactured"))
-    def outcome(t, run):
+    # one row per (scheme, mode count, dt); the storage-hungry baseline
+    # ignores the mode count, so it runs once per dt and fills both rows
+    row_keys = [(scheme, n_modes, dt) for scheme in ("fidr", "fir", "gl")
+                for n_modes in (9, 25) for dt in dts]
+
+    def run_key(scheme, n_modes, dt):
+        return scheme, None if scheme == "gl" else n_modes, dt
+
+    runs = list(dict.fromkeys(run_key(*k) for k in row_keys))
+    tasks = [run + (alpha, h, T, _cfg(args, "x_lo"), _cfg(args, "x_hi"), "manufactured")
+             for run in runs]
+
+    def outcome(run):
         try:
-            return run() + ("ok",)
+            return run(), "ok"
         except Exception as exc:
-            return (t[0], t[1], t[2], math.nan, f"failed: {exc}")
+            return math.nan, f"failed: {exc}"
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futs = [pool.submit(_one_convergence_run, t) for t in tasks]
-            results = [outcome(t, fut.result) for t, fut in zip(tasks, futs)]
+            results = [outcome(fut.result) for fut in futs]
     else:
-        results = [outcome(t, lambda t=t: _one_convergence_run(t)) for t in tasks]
+        results = [outcome(lambda t=t: _one_convergence_run(t)) for t in tasks]
+    by_run = dict(zip(runs, results))
     config = {"command": "convergence", "alpha": alpha, "h": h, "T": T,
               "dts": dts, "schemes": ["fidr", "fir", "gl"], "mode_counts": [9, 25]}
-    rows = [
-        [scheme, str(n_modes), _fmt(dt),
-         "" if err is None or (isinstance(err, float) and math.isnan(err)) else _fmt(err),
-         status]
-        for scheme, n_modes, dt, err, status in results
-    ]
+    rows = []
+    for scheme, n_modes, dt in row_keys:
+        err, status = by_run[run_key(scheme, n_modes, dt)]
+        rows.append([scheme, str(n_modes), _fmt(dt),
+                     "" if err is None or math.isnan(err) else _fmt(err), status])
     _write_text(args.out, _csv(config, ["scheme", "n_modes", "dt", "related_error", "status"], rows))
     return EXIT_OK
 

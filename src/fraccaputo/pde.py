@@ -32,8 +32,6 @@ __all__ = [
     "solve",
     "manufactured_problem",
     "nonlinear_problem",
-    "global_error",
-    "related_error",
 ]
 
 SCHEMES = ("l1", "fir", "fidr", "gl")
@@ -284,33 +282,10 @@ def nonlinear_problem(alpha: float, x_lo: float = -1.0, x_hi: float = 1.0) -> Di
 
 
 # ---------------------------------------------------------------------------
-# error norms over a stored field history
+# error norms
 
 def _norm_terms(u: np.ndarray, u_ex, dt: float) -> tuple:
     """One step's terms dt * max|u - u_ex|**2 and dt * max|u_ex|**2 of the
     global error and of the exact solution's norm."""
     u_ex = np.asarray(u_ex, dtype=float)
     return dt * float(np.max(np.abs(u - u_ex))) ** 2, dt * float(np.max(np.abs(u_ex))) ** 2
-
-
-def _norm_sums(history: np.ndarray, exact, tgrid: TimeGrid, sgrid: SpaceGrid):
-    x = sgrid.points()
-    err_sq = ex_sq = 0.0
-    for k in range(1, tgrid.n_steps + 1):
-        err_k, ex_k = _norm_terms(history[k], exact(x, k * tgrid.dt), tgrid.dt)
-        err_sq, ex_sq = err_sq + err_k, ex_sq + ex_k
-    return err_sq, ex_sq
-
-
-def global_error(history: np.ndarray, exact, tgrid: TimeGrid, sgrid: SpaceGrid) -> float:
-    """sqrt(dt * sum_k max_i |u_i^k - exact(x_i, t_k)|**2), k = 1..n_steps."""
-    err_sq, _ = _norm_sums(history, exact, tgrid, sgrid)
-    return math.sqrt(err_sq)
-
-
-def related_error(history: np.ndarray, exact, tgrid: TimeGrid, sgrid: SpaceGrid) -> float:
-    """Global error divided by the same norm of the exact solution."""
-    err_sq, ex_sq = _norm_sums(history, exact, tgrid, sgrid)
-    if ex_sq == 0.0:
-        raise ValueError("exact solution vanishes identically; related error undefined")
-    return math.sqrt(err_sq / ex_sq)

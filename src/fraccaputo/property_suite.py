@@ -17,10 +17,10 @@ import numpy as np
 
 from .analysis import theorem_constants, truncation_bound
 from .schemes import (
+    GLHistory,
     caputo_reference,
     fidr_step,
     fir_step,
-    gl_coefficients,
     l1_step,
     l1_weights,
     new_history,
@@ -209,8 +209,10 @@ def gl_stability_suite(seed: int, n_pairs: int = 20, n_steps: int = 2000,
                        inject=None) -> dict:
     """Implicit fractional-difference solve of D^p u = c u must not grow.
 
-    c is complex with Re(c) <= 0; pairs violating that precondition are
-    reported as out-of-contract rather than failures.
+    D is ``GLHistory``, the Caputo-form rule every entry point runs, on
+    complex samples from u^0 = 1.  c is complex with Re(c) <= 0; pairs
+    violating that precondition are reported as out-of-contract rather
+    than failures.
     """
     rng = np.random.default_rng(seed)
     pairs = inject if inject is not None else [
@@ -224,12 +226,14 @@ def gl_stability_suite(seed: int, n_pairs: int = 20, n_steps: int = 2000,
     violations = []
     for p, c in pairs:
         dt = float(rng.uniform(1e-3, 1e-1))
-        cm = gl_coefficients(p, n_steps)
-        u = np.zeros(n_steps + 1, dtype=complex)
+        u = np.empty(n_steps + 1, dtype=complex)
         u[0] = 1.0
-        z = dt ** p * c
+        ev = GLHistory(p, dt, u[0], n_steps)
+        known, push, gain = ev.known, ev.push, ev.sigma - c
         for n in range(1, n_steps + 1):
-            u[n] = -np.dot(cm[1: n + 1], u[n - 1:: -1]) / (1.0 - z)
+            # sigma * u^n + known() = c * u^n
+            u[n] = un = -known() / gain
+            push(un)
         if float(np.max(np.abs(u))) > abs(u[0]) + 1e-12:
             violations.append({"p": p, "c": str(c), "max": float(np.max(np.abs(u)))})
     return _verdict("gl_stability", len(pairs), violations)

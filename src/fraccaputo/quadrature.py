@@ -59,14 +59,6 @@ class QuadRule:
         if abs(float(np.sum(self.weights)) - moment) > 1e-12 * abs(moment):
             raise ConstructionError("weights do not integrate the constant 1")
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def apply(self, f) -> float:
-        """Integrate ``f(s) * s**weight_exponent`` over the interval."""
-        return float(np.sum(self.weights * f(self.nodes)))
-
 
 def _weight_moment(lo: float, hi: float, gamma: float) -> float:
     """Integral of s**gamma over [lo, hi]."""

@@ -54,16 +54,9 @@ class TimeGrid:
         if self.n_steps < 1:
             raise ValueError("need at least one step")
 
-    @classmethod
-    def from_horizon(cls, horizon: float, n_steps: int) -> "TimeGrid":
-        return cls(horizon / n_steps, n_steps)
-
     @property
     def horizon(self) -> float:
         return self.dt * self.n_steps
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +118,12 @@ def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
 def _check_order(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("order must lie in (0, 1)")
+
+
+def _samples(u) -> np.ndarray:
+    """A copy of u as a float array, or a complex one for complex u."""
+    u = np.asarray(u)
+    return u.astype(np.result_type(u, float))
 
 
 def _contract(coeffs: np.ndarray, rows: np.ndarray):
@@ -198,14 +197,14 @@ class FastHistory(_Evaluator):
 class _DirectHistory(_Evaluator):
     """Every sample so far less the anchor, in an array that doubles when
     full, with a coefficient table as long; ``n_steps`` sizes it for a run
-    of known length."""
+    of known length.  Samples keep their dtype (real or complex)."""
 
     def __init__(self, alpha: float, dt: float, u0, n_steps: int = 1):
         _check_order(alpha)
         self.alpha, self.dt = alpha, dt
-        self.u0 = np.array(u0, dtype=float)
-        self.hist = np.empty((n_steps + 1,) + self.u0.shape)
-        self.hist[0] = self.u0 - self.anchor
+        u0 = _samples(u0)
+        self.hist = np.empty((n_steps + 1,) + u0.shape, dtype=u0.dtype)
+        self.hist[0] = u0 - self.anchor
         self.coeffs = self._table(n_steps + 1)
 
     def push(self, u) -> None:
@@ -251,7 +250,8 @@ class GLHistory(_DirectHistory):
     scheme = "gl"
 
     def __init__(self, p: float, dt: float, u0, n_steps: int = 1):
-        self.anchor = np.array(u0, dtype=float)
+        # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
+        self.anchor = _samples(u0)[()]
         super().__init__(p, dt, u0, n_steps)
         self.sigma = dt ** -p
 

@@ -2,12 +2,13 @@
 
 The kernel is written as a Laplace integral over frequencies s, the
 frequency axis is split into a low band [0, 2**a] handled by one
-power-weight Gauss rule, a ladder of dyadic intervals [2**j, 2**(j+1)]
-for j = a..b-1 each handled by a Legendre rule, and a dropped tail
-[2**b, inf).  The result is a single list of (weight, decay-rate) pairs
-valid on a time window [delta, horizon], together with a closed-form
-error bound (beta in (1, 2) and beta in (0, 1) have different tail and
-rule estimates, hence two bound formulas).
+power-weight Gauss rule (or dropped, with n1 = 0), a ladder of dyadic
+intervals [2**j, 2**(j+1)] for j = a..b-1 each handled by a Legendre
+rule, and a dropped tail [2**b, inf).  The result is a single list of
+(weight, decay-rate) pairs valid on a time window [delta, horizon],
+together with a closed-form error bound with one term per piece (beta
+in (1, 2) and beta in (0, 1) have different tail and rule estimates,
+hence two bound formulas).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammainc, gammaincc
 
 from .quadrature import ConstructionError, gauss_jacobi_power, gauss_legendre
 
@@ -44,7 +45,8 @@ class SoEParams:
         Ladder top exponent b: the last Legendre interval is
         [2**(b-1), 2**b] and everything above 2**b is dropped.
     n1 : int
-        Nodes of the power-weight rule (0 skips the low band entirely).
+        Nodes of the power-weight rule.  0 drops the low band; the bound
+        then counts the dropped integral, delta**-beta * P(beta, delta * 2**a).
     n2 : int
         Legendre nodes per dyadic interval.
     """
@@ -150,7 +152,9 @@ def soe_error_bound_terms(
     """The (tail, low-band rule, ladder rule) contributions to the bound.
 
     beta in (1, 2) and beta in (0, 1) use different closed forms; beta = 1
-    is outside both and rejected.
+    is outside both and rejected.  With n1 = 0 the low-band term is the
+    dropped integral (1/Gamma(beta)) int_0^{2**a} exp(-t*s) s**(beta-1) ds,
+    which decreases in t and so peaks at t = delta.
     """
     if not (0.0 < beta < 1.0 or 1.0 < beta < 2.0):
         raise ValueError(f"bound is defined for beta in (0,1) or (1,2), got {beta}")
@@ -158,11 +162,12 @@ def soe_error_bound_terms(
     a, b, n1, n2 = params.ladder_lo, params.n_hi, params.n1, params.n2
     T = horizon
     ladder_const = (math.exp(1.0 / math.e) / 4.0) ** (2 * n2)
+    if n1 == 0:
+        low = delta ** -beta * float(gammainc(beta, delta * 2.0 ** a))
     if beta > 1.0:
         tail = math.exp(-delta * 2.0 ** b) * 2.0 ** (beta - 1.0) * (
             2.0 ** (beta * b) / gb + delta ** -beta
         )
-        low = 0.0
         if n1 > 0:
             low = (
                 2.0 * math.sqrt(math.pi) * 2.0 ** (a * beta) * n1 ** 1.5
@@ -171,7 +176,6 @@ def soe_error_bound_terms(
         ladder = 2.0 ** (beta - 1.5) * math.pi * 2.0 ** (beta * b) * ladder_const / gb
     else:
         tail = math.exp(-delta * 2.0 ** b) / (gb * delta * 2.0 ** ((1.0 - beta) * b))
-        low = 0.0
         if n1 > 0:
             low = (
                 (4.0 * math.sqrt(math.pi) * 2.0 ** (a * beta) / math.e ** 2)

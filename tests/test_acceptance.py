@@ -164,12 +164,16 @@ def test_criterion_4_table2_reproduction(table2_runs):
     assert report(4, ok, "; ".join(details))
 
 
-def test_criterion_4_timing_parity(table2_runs):
-    # interleaved min-of-two timings filter scheduler noise out of the pair
-    w_fir = min(table2_runs[("fir", 1e-3)].wall_time,
-                manufactured_run(0.1, 1e-3, "fir", BENCH25).wall_time)
-    w_fidr = min(table2_runs[("fidr", 1e-3)].wall_time,
-                 manufactured_run(0.1, 1e-3, "fidr", BENCH25).wall_time)
+def test_criterion_4_timing_parity():
+    # five fresh pairs, interleaved in alternating order and timed in process
+    # CPU time; the minima filter other processes' load out of the comparison
+    cpu = {"fir": [], "fidr": []}
+    for k in range(5):
+        for scheme in (("fir", "fidr") if k % 2 == 0 else ("fidr", "fir")):
+            c0 = time.process_time()
+            manufactured_run(0.1, 1e-3, scheme, BENCH25)
+            cpu[scheme].append(time.process_time() - c0)
+    w_fir, w_fidr = min(cpu["fir"]), min(cpu["fidr"])
     ratio = max(w_fir, w_fidr) / min(w_fir, w_fidr)
     ok = ratio <= 1.2
     assert report(4, ok, f"(timing note) fir {w_fir:.2f}s vs fidr {w_fidr:.2f}s, "
@@ -307,7 +311,7 @@ def test_criterion_9_oracle_equivalence():
     path_ok = worst_fir <= 1e-9 and worst_fidr <= 1e-9
 
     prob = manufactured_problem(0.5)
-    tg = TimeGrid.from_horizon(1.0, 64)
+    tg = TimeGrid(1.0 / 64, 64)
     sg = SpaceGrid(0.0, PI, 32)
     u_l1 = solve(prob, tg, sg, "l1").snapshots[-1][1]
     gap_fir = float(np.max(np.abs(solve(prob, tg, sg, "fir", TIGHT).snapshots[-1][1] - u_l1)))

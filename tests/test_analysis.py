@@ -35,13 +35,6 @@ def test_fit_rate_rejects_nonpositive_errors():
         fit_rate([(0.1, 1.0), (0.05, 0.5)])
 
 
-def test_fit_rate_blowup_split():
-    pts = [(0.1, 0.1), (0.05, 0.05), (0.025, 0.025), (0.0125, 0.08), (0.00625, 0.3)]
-    study = fit_rate(pts, exclude_blowup=True)
-    assert study.flagged == ((0.0125, 0.08), (0.00625, 0.3))
-    assert abs(study.fitted_slope - 1.0) < 1e-12
-
-
 def test_theorem_constants_vanishing_kernel_error():
     alpha, t_n = 0.3, 1.0
     fir = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "FIR")

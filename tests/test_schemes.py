@@ -348,9 +348,6 @@ def test_linearity_of_all_schemes():
 def test_timegrid_contract():
     g = TimeGrid(0.1, 10)
     assert abs(g.horizon - 1.0) < 1e-12
-    np.testing.assert_allclose(g.times(), 0.1 * np.arange(11))
-    g2 = TimeGrid.from_horizon(2.0, 8)
-    assert g2.dt == 0.25
     with pytest.raises(ValueError):
         TimeGrid(-0.1, 5)
     with pytest.raises(ValueError):

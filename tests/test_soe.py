@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraccaputo.quadrature import ConstructionError, gauss_legendre
 from fraccaputo.soe import (
@@ -16,6 +18,7 @@ from fraccaputo.soe import (
 )
 
 BENCH = SoEParams.from_ladder(3, 10, 4, 3)   # the 25-mode benchmark partition
+SLACK = 1e-12  # relative rounding slack, the property suite's
 
 
 def test_params_mode_count():
@@ -122,6 +125,33 @@ def test_certification_random_configs():
             soe = build_soe(beta, params, delta, horizon)
             max_err, _ = soe_max_error(soe, 1500)
             assert max_err <= soe.bound, (beta, a, b, n1, n2, delta, horizon)
+
+
+@pytest.mark.parametrize("beta,a,b,n2", [(0.1, 5, 14, 8), (1.1, 5, 15, 13)])
+def test_dropped_low_band_is_bounded(beta, a, b, n2):
+    """n1 = 0 drops the band [0, 2**a]; here that band dominates the
+    sampled error (1.48 and 42.5), and the bound must cover it."""
+    params = SoEParams.from_ladder(a, b, 0, n2)
+    soe = build_soe(beta, params, 1e-3, 1.0)
+    max_err, _ = soe_max_error(soe, 2000)
+    assert max_err > 1.0
+    assert max_err <= soe.bound
+    _, low, _ = soe_error_bound_terms(beta, params, 1e-3, 1.0)
+    assert low > 0.99 * soe.bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(beta=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
+       a=st.integers(-4, 5), n1=st.integers(0, 8), n2=st.integers(1, 16),
+       log_delta=st.floats(-4.0, -1.0), data=st.data())
+def test_bound_holds_over_random_partitions(beta, a, n1, n2, log_delta, data):
+    """Sampled error <= certified bound for every partition, n1 = 0 included.
+    beta stays 0.01 away from 0, 1 and 2, where Gamma(beta) overflows or
+    the power-rule exponent beta - 1 rounds out of (-1, 1)."""
+    b = data.draw(st.integers(a + 1, 31), label="b")
+    soe = build_soe(beta, SoEParams.from_ladder(a, b, n1, n2), 10.0 ** log_delta, 1.0)
+    max_err, _ = soe_max_error(soe, 2000)
+    assert max_err <= soe.bound * (1.0 + SLACK)
 
 
 def test_refinement_doubling_legendre_nodes():
