@@ -30,7 +30,6 @@ from .soe import (
     SoEApproximation,
     SoEParams,
     build_soe,
-    soe_error_bound,
     soe_error_bound_terms,
     soe_eval,
     soe_max_error,
@@ -61,7 +60,6 @@ __all__ = [
     "manufactured_problem",
     "new_history",
     "nonlinear_problem",
-    "soe_error_bound",
     "soe_error_bound_terms",
     "soe_eval",
     "soe_max_error",

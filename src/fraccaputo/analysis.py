@@ -19,8 +19,6 @@ __all__ = [
 class ConvergenceStudy:
     """Least-squares log-log fit of error against step size."""
 
-    dts: tuple
-    errors: tuple
     fitted_slope: float
     intercept: float
     rejected: tuple = ()   # (dt, err) pairs dropped for err <= 0
@@ -40,50 +38,37 @@ def fit_rate(points) -> ConvergenceStudy:
     dts = np.array([p[0] for p in pts])
     errs = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(np.log(dts), np.log(errs), 1)
-    return ConvergenceStudy(
-        dts=tuple(dts), errors=tuple(errs),
-        fitted_slope=float(slope), intercept=float(intercept),
-        rejected=rejected,
-    )
+    return ConvergenceStudy(fitted_slope=float(slope), intercept=float(intercept),
+                            rejected=rejected)
 
 
 @dataclass(frozen=True)
 class TheoremConstants:
     """Energy-estimate constants of the fast schemes' prior bounds.
 
-    ``admissible`` is False when the kernel error is too large for the
-    leading constant mu to stay positive, which makes the estimate
-    vacuous.
+    The estimate is vacuous unless mu > 0: a kernel error too large for
+    that leaves nothing to check.
     """
 
     variant: str
     mu: float
-    nu: float
     rho: float
-    admissible: bool
 
 
 def theorem_constants(alpha: float, t_n: float, t_prev: float, dt: float,
                       eps: float, variant: str) -> TheoremConstants:
-    """Evaluate the constants (mu, nu, rho) of either fast scheme's
-    discrete energy estimate."""
-    a2 = alpha / 2.0
+    """Evaluate the constants (mu, rho) of either fast scheme's discrete
+    energy estimate."""
     g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
-    g1b = math.gamma(1.0 - a2)
     if variant == "FIR":
         mu = (t_n ** -alpha - 2.0 * alpha * eps * t_prev) / g1
-        nu = (t_n ** -a2 - alpha * eps * t_prev) / g1b
         rho = (t_n ** (1.0 - alpha) - alpha * (1.0 - alpha) * eps * t_prev * dt) / g2
     elif variant == "FIDR":
         mu = (t_n ** -alpha - eps) / g1
-        nu = (t_n ** -a2 - eps) / g1b
         rho = (dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha) / (2.0 * g1)
     else:
         raise ValueError(f"variant must be FIR or FIDR, got {variant!r}")
-    return TheoremConstants(
-        variant=variant, mu=mu, nu=nu, rho=rho,
-        admissible=mu > 0.0 and nu > 0.0,
-    )
+    return TheoremConstants(variant=variant, mu=mu, rho=rho)
 
 
 def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -140,17 +139,18 @@ def cmd_soe_error(args) -> int:
     return EXIT_OK
 
 
-def _one_convergence_run(task) -> float | None:
-    scheme, n_modes, dt, alpha, h, T, x_lo, x_hi, problem_name = task
-    problem = (manufactured_problem(alpha) if problem_name == "manufactured"
-               else nonlinear_problem(alpha, x_lo, x_hi))
-    if problem.exact is None:
-        raise ValueError("convergence sweep needs a problem with an exact solution")
-    tgrid = TimeGrid(dt, round(T / dt))
-    sgrid = SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h)
-    params = (SoEParams.from_ladder(*MODE_TABLE[n_modes])
-              if scheme in ("fir", "fidr") else None)
-    return solve(problem, tgrid, sgrid, scheme, params).related_error
+def _one_convergence_run(task) -> tuple:
+    """(related error, status) of one manufactured run; a failure is a row."""
+    scheme, n_modes, dt, alpha, h, T = task
+    try:
+        problem = manufactured_problem(alpha)
+        tgrid = TimeGrid(dt, round(T / dt))
+        sgrid = SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h)
+        params = (SoEParams.from_ladder(*MODE_TABLE[n_modes])
+                  if scheme in ("fir", "fidr") else None)
+        return solve(problem, tgrid, sgrid, scheme, params).related_error, "ok"
+    except Exception as exc:
+        return math.nan, f"failed: {exc}"
 
 
 def cmd_convergence(args) -> int:
@@ -164,36 +164,19 @@ def cmd_convergence(args) -> int:
     dts = [dt0 * 0.5 ** k for k in range(levels)]
     # one row per (scheme, mode count, dt); the storage-hungry baseline
     # ignores the mode count, so it runs once per dt and fills both rows
-    row_keys = [(scheme, n_modes, dt) for scheme in ("fidr", "fir", "gl")
-                for n_modes in (9, 25) for dt in dts]
-
-    def run_key(scheme, n_modes, dt):
-        return scheme, None if scheme == "gl" else n_modes, dt
-
-    runs = list(dict.fromkeys(run_key(*k) for k in row_keys))
-    tasks = [run + (alpha, h, T, _cfg(args, "x_lo"), _cfg(args, "x_hi"), "manufactured")
-             for run in runs]
-
-    def outcome(run):
-        try:
-            return run(), "ok"
-        except Exception as exc:
-            return math.nan, f"failed: {exc}"
-
+    runs = [(scheme, n_modes, dt, alpha, h, T) for scheme in ("fidr", "fir", "gl")
+            for n_modes in (9, 25) for dt in dts if scheme != "gl" or n_modes == 9]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = [pool.submit(_one_convergence_run, t) for t in tasks]
-            results = [outcome(fut.result) for fut in futs]
+            results = list(pool.map(_one_convergence_run, runs))
     else:
-        results = [outcome(lambda t=t: _one_convergence_run(t)) for t in tasks]
-    by_run = dict(zip(runs, results))
+        results = list(map(_one_convergence_run, runs))
     config = {"command": "convergence", "alpha": alpha, "h": h, "T": T,
               "dts": dts, "schemes": ["fidr", "fir", "gl"], "mode_counts": [9, 25]}
-    rows = []
-    for scheme, n_modes, dt in row_keys:
-        err, status = by_run[run_key(scheme, n_modes, dt)]
-        rows.append([scheme, str(n_modes), _fmt(dt),
-                     "" if err is None or math.isnan(err) else _fmt(err), status])
+    rows = [[scheme, str(n_modes), _fmt(dt),
+             "" if math.isnan(err) else _fmt(err), status]
+            for (scheme, n_modes, dt, *_), (err, status) in zip(runs, results)]
+    rows += [["gl", "25"] + row[2:] for row in rows[-len(dts):]]
     _write_text(args.out, _csv(config, ["scheme", "n_modes", "dt", "related_error", "status"], rows))
     return EXIT_OK
 
@@ -271,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--levels", type=int, default=None, help="number of halvings")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("FRACCAPUTO_JOBS", "1")),
-                   help="parallel runs for sweeps (env FRACCAPUTO_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel runs for sweeps")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("solve", help="single run, JSON report")

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .schemes import FastHistory, GLHistory, L1History, TimeGrid, _check_order
+from .schemes import FastHistory, GLHistory, L1History, TimeGrid, _check_order, kernel_order
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -161,8 +161,7 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     evaluators, kernels = [], []
     for order, start in ((alpha, u0), (alpha / 2.0, u0[[0, -1]])):
         if scheme in ("fir", "fidr"):
-            kernel = build_soe(order + 1.0 if scheme == "fir" else order, soe_params,
-                               dt, tgrid.horizon)
+            kernel = build_soe(kernel_order(scheme, order), soe_params, dt, tgrid.horizon)
             evaluator = FastHistory(scheme, order, dt, start, kernel.n_modes)
             evaluator.use_kernel(kernel)
             kernels.append(kernel)

@@ -6,25 +6,14 @@ implementations, and reports a status:
 
 * ``pass`` / ``fail``      -- the inequality held / was violated;
 * ``inadmissible``        -- the kernel error is too large for the
-  inequality to say anything (vacuous bound), so nothing was checked;
-* ``out-of-contract``     -- the requested instances violate a
-  precondition (e.g. growth coefficients with positive real part in the
-  stability suite).
+  inequality to say anything (vacuous bound), so nothing was checked.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .analysis import theorem_constants, truncation_bound
-from .schemes import (
-    GLHistory,
-    caputo_reference,
-    fidr_step,
-    fir_step,
-    l1_step,
-    l1_weights,
-    new_history,
-)
+from .schemes import GLHistory, caputo_reference, kernel_order, new_history
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -40,83 +29,73 @@ __all__ = [
 _SLACK = 1e-12  # absolute-plus-relative float slack on inequality checks
 
 
-def _result(name: str, status: str, checked: int, violations: list, **extra) -> dict:
-    return {"name": name, "status": status, "checked": checked, "violations": violations, **extra}
-
-
 def _verdict(name: str, checked: int, violations: list, **extra) -> dict:
-    return _result(name, "fail" if violations else "pass", checked, violations, **extra)
+    return {"name": name, "status": "fail" if violations else "pass", "checked": checked,
+            "violations": violations, **extra}
 
 
-def _run_fast(scheme: str, alpha: float, g: np.ndarray, dt: float, soe) -> np.ndarray:
-    step = fir_step if scheme == "FIR" else fidr_step
-    state = new_history(scheme, alpha, dt, g[0], n_modes=soe.n_modes)
-    vals = np.empty(len(g) - 1)
-    for n in range(1, len(g)):
-        vals[n - 1], state = step(state, soe, g[n])
-    return vals
+def _run(scheme: str, alpha: float, g: np.ndarray, dt: float, soe=None) -> np.ndarray:
+    """The rule's values D g^1 .. D g^n, streamed over the stored path g."""
+    ev = new_history(scheme, alpha, dt, g[0], n_modes=0 if soe is None else soe.n_modes)
+    if soe is not None:
+        ev.use_kernel(soe)
+    return np.array([ev.step(u) for u in g[1:]])
 
 
-def _coercivity(name: str, seed: int, n_funcs: int, n_steps: int, alpha: float, dt: float,
-                soe, consts, **extra) -> dict:
+def _coercivity(scheme: str, seed: int, params: SoEParams | None) -> dict:
     """dt * sum_k (D g^k) g^k >= mu/2 * dt * sum (g^k)^2 - rho * (g^0)^2 on
-    random mesh functions g, D the fast rule that ``consts`` describes."""
+    100 random mesh functions g of 20 steps, dt = 0.05, order 0.3, with D
+    the fast rule ``scheme`` on a kernel built at delta = dt, and mu, rho
+    the constants of ``theorem_constants`` under its certified bound."""
+    name, alpha, dt, n_steps, n_funcs = f"{scheme}_coercivity", 0.3, 0.05, 20, 100
+    t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
+    soe = build_soe(kernel_order(scheme, alpha), params or SoEParams.from_ladder(0, 12, 6, 10),
+                    dt, t_n)
+    eps = soe.bound
+    eps_entry = {"eps" if scheme == "fir" else "eps0": eps}
+    consts = theorem_constants(alpha, t_n, t_prev, dt, eps, scheme.upper())
+    # fidr's eps0 must also stay below the slack alpha/((1-alpha) dt^alpha)
+    # that caps its leading unrolled coefficient
+    if consts.mu <= 0.0 or (scheme == "fidr" and eps > alpha / ((1.0 - alpha) * dt ** alpha)):
+        return {"name": name, "status": "inadmissible", "checked": 0, "violations": [],
+                **eps_entry}
     rng = np.random.default_rng(seed)
     violations = []
     for k in range(n_funcs):
         g = rng.normal(size=n_steps + 1)
         g[0] = 2.0 * rng.normal()
-        vals = _run_fast(consts.variant, alpha, g, dt, soe)
+        vals = _run(scheme, alpha, g, dt, soe)
         lhs = dt * float(np.dot(vals, g[1:]))
         rhs = consts.mu / 2.0 * dt * float(np.sum(g[1:] ** 2)) - consts.rho * g[0] ** 2
         if lhs < rhs - _SLACK * max(1.0, abs(rhs)):
             violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
-    return _verdict(name, n_funcs, violations, **extra)
+    return _verdict(name, n_funcs, violations, **eps_entry)
 
 
-def fir_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
-                         alpha: float = 0.3, dt: float = 0.05,
-                         params: SoEParams | None = None) -> dict:
+def fir_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
     """Quadratic-form lower bound of the integrated-by-parts fast rule.
 
     dt * sum_k (D g^k) g^k >= (t_n^-a - 2 a eps t_{n-1})/(2 G(1-a)) * dt * sum (g^k)^2
                             - (t_n^{1-a} - a(1-a) eps t_{n-1} dt)/G(2-a) * (g^0)^2
-    with eps the certified bound of the kernel built at delta = dt: the
-    constants mu/2 and rho of ``theorem_constants``.
+    with eps the certified bound of the kernel t^-(1+a): the constants
+    mu/2 and rho of ``theorem_constants``.  Skipped as inadmissible when
+    the leading constant is not positive.
     """
-    params = params or SoEParams.from_ladder(0, 12, 6, 10)
-    t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
-    soe = build_soe(1.0 + alpha, params, dt, t_n)
-    eps = soe.bound
-    consts = theorem_constants(alpha, t_n, t_prev, dt, eps, "FIR")
-    if consts.mu <= 0.0:
-        return _result("fir_coercivity", "inadmissible", 0, [], eps=eps)
-    return _coercivity("fir_coercivity", seed, n_funcs, n_steps, alpha, dt, soe, consts, eps=eps)
+    return _coercivity("fir", seed, params)
 
 
-def fidr_coercivity_suite(seed: int, n_funcs: int = 100, n_steps: int = 20,
-                          alpha: float = 0.3, dt: float = 0.05,
-                          params: SoEParams | None = None,
-                          eps_override: float | None = None) -> dict:
+def fidr_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
     """Quadratic-form lower bound of the increment-based fast rule.
 
     dt * sum_k (D g^k) g^k >= dt (t_n^-a - eps0)/(2 G(1-a)) * sum (g^k)^2
         - (dt^{1-a}/(1-a) + t_{n-1} dt^-a)/(2 G(1-a)) * (g^0)^2,
 
-    the constants mu/2 and rho of ``theorem_constants``.
-
-    Skipped as inadmissible when eps0 >= t_n^-a or when eps0 exceeds the
-    slack a/((1-a) dt^a) that caps the leading unrolled coefficient.
+    with eps0 the certified bound of the kernel t^-a: the constants mu/2
+    and rho of ``theorem_constants``.  Skipped as inadmissible when
+    eps0 >= t_n^-a or when eps0 exceeds the slack a/((1-a) dt^a) that caps
+    the leading unrolled coefficient.
     """
-    params = params or SoEParams.from_ladder(0, 12, 6, 10)
-    t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
-    soe = build_soe(alpha, params, dt, t_n)
-    eps0 = soe.bound if eps_override is None else eps_override
-    consts = theorem_constants(alpha, t_n, t_prev, dt, eps0, "FIDR")
-    if consts.mu <= 0.0 or eps0 > alpha / ((1.0 - alpha) * dt ** alpha):
-        return _result("fidr_coercivity", "inadmissible", 0, [], eps0=eps0)
-    return _coercivity("fidr_coercivity", seed, n_funcs, n_steps, alpha, dt, soe, consts,
-                       eps0=eps0)
+    return _coercivity("fidr", seed, params)
 
 
 def mesh_sobolev_suite(seed: int, n_funcs: int = 100) -> dict:
@@ -161,37 +140,29 @@ def summation_by_parts_suite(seed: int, n_funcs: int = 100) -> dict:
     return _verdict("summation_by_parts", n_funcs, violations)
 
 
-def truncation_suite(alphas=(0.1, 0.5, 0.9), dt: float = 1e-3, n_max: int = 1000,
-                     variant: str = "L1",
-                     params: SoEParams | None = None,
-                     step_filter=None) -> dict:
+def truncation_suite(variant: str = "L1", step_filter=None) -> dict:
     """Consistency-bound check of the direct rule on u = t**2 and u = sin t.
 
-    For every step n <= n_max the rule's output is compared against the
+    For orders 0.1, 0.5, 0.9 at dt = 1e-3 and every step n <= 1000 (or
+    those in ``step_filter``) the rule's output is compared against the
     analytic derivative; the gap must stay below the closed-form bound
     (plus the certified kernel term for the increment-based fast rule).
     """
     if variant not in ("L1", "FIDR"):
         raise ValueError("variant must be L1 or FIDR")
-    steps = range(1, n_max + 1) if step_filter is None else step_filter
-    steps = [int(n) for n in steps]
+    dt, n_max = 1e-3, 1000
+    steps = [int(n) for n in (range(1, n_max + 1) if step_filter is None else step_filter)]
+    t = dt * np.arange(n_max + 1)
     violations = []
     checked = 0
-    for alpha in alphas:
-        soe = None
-        if variant == "FIDR":
-            p = params or SoEParams.from_ladder(0, 15, 8, 6)
-            soe = build_soe(alpha, p, dt, n_max * dt)
-        w = l1_weights(alpha, n_max)
-        t = dt * np.arange(n_max + 1)
+    for alpha in (0.1, 0.5, 0.9):
+        soe = (build_soe(alpha, SoEParams.from_ladder(0, 15, 8, 6), dt, n_max * dt)
+               if variant == "FIDR" else None)
         for u, m2, ref in (
             (t ** 2, 2.0, lambda n: caputo_reference("power", alpha, t[n], sigma=2.0)),
             (np.sin(t), 1.0, lambda n: caputo_reference("sin", alpha, t[n])),
         ):
-            if variant == "L1":
-                vals = np.array([l1_step(w, u[: n + 1], dt) for n in range(1, n_max + 1)])
-            else:
-                vals = _run_fast("FIDR", alpha, u, dt, soe)
+            vals = _run(variant, alpha, u, dt, soe)
             for n in steps:
                 checked += 1
                 # max|u'| on [0, t_{n-1}]: 1 for sin, 2 t_{n-1} for t**2
@@ -205,24 +176,17 @@ def truncation_suite(alphas=(0.1, 0.5, 0.9), dt: float = 1e-3, n_max: int = 1000
     return _verdict(f"truncation_{variant.lower()}", checked, violations)
 
 
-def gl_stability_suite(seed: int, n_pairs: int = 20, n_steps: int = 2000,
-                       inject=None) -> dict:
-    """Implicit fractional-difference solve of D^p u = c u must not grow.
+def gl_stability_suite(seed: int) -> dict:
+    """Implicit fractional-difference solve of D^p u = c u must not grow,
+    for 20 random pairs (p, c) with Re(c) <= 0 over 2000 steps.
 
     D is ``GLHistory``, the Caputo-form rule every entry point runs, on
-    complex samples from u^0 = 1.  c is complex with Re(c) <= 0; pairs
-    violating that precondition are reported as out-of-contract rather
-    than failures.
+    complex samples from u^0 = 1.
     """
     rng = np.random.default_rng(seed)
-    pairs = inject if inject is not None else [
-        (float(rng.uniform(0.05, 0.95)),
-         complex(-rng.uniform(0.0, 5.0), 3.0 * rng.normal()))
-        for _ in range(n_pairs)
-    ]
-    bad_contract = [(p, str(c)) for p, c in pairs if c.real > 0.0]
-    if bad_contract:
-        return _result("gl_stability", "out-of-contract", 0, [], offending=bad_contract)
+    n_steps = 2000
+    pairs = [(float(rng.uniform(0.05, 0.95)), complex(-rng.uniform(0.0, 5.0), 3.0 * rng.normal()))
+             for _ in range(20)]
     violations = []
     for p, c in pairs:
         dt = float(rng.uniform(1e-3, 1e-1))

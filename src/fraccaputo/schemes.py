@@ -25,6 +25,7 @@ from .soe import SoEApproximation
 __all__ = [
     "TimeGrid",
     "FastHistory",
+    "kernel_order",
     "L1History",
     "GLHistory",
     "new_history",
@@ -151,6 +152,12 @@ class _Evaluator:
         return value
 
 
+def kernel_order(scheme: str, alpha: float) -> float:
+    """Order beta of the kernel t**-beta that the fast rule of order alpha
+    compresses: alpha + 1 for fir, alpha for fidr."""
+    return alpha + 1.0 if scheme == "fir" else alpha
+
+
 class FastHistory(_Evaluator):
     """fir or fidr on the modes of a compressed kernel; anchor u^{n-1}.
     From step 2 on, modes <- decay*modes + c1*u^{n-1} + c2*u^{n-2} with
@@ -160,6 +167,7 @@ class FastHistory(_Evaluator):
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         _check_order(alpha)
         self.scheme, self.alpha, self.dt, self.soe = scheme, alpha, dt, None
+        self.beta = kernel_order(scheme, alpha)
         self.u0 = self.anchor = np.array(u0, dtype=float)
         self.u_prev2 = np.zeros_like(self.u0)
         self.modes = np.zeros((n_modes,) + self.u0.shape)
@@ -167,11 +175,15 @@ class FastHistory(_Evaluator):
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
 
     def use_kernel(self, soe: SoEApproximation) -> None:
-        """Run on ``soe``; its recurrence coefficients are built once."""
+        """Run on ``soe``, a kernel of order ``beta``; its recurrence
+        coefficients are built once."""
         if soe is self.soe:
             return
         if soe.n_modes != len(self.modes):
             raise ValueError("mode count of state and kernel disagree")
+        if not math.isclose(soe.beta, self.beta, rel_tol=1e-12):
+            raise ValueError(f"{self.scheme} of order {self.alpha} needs a kernel of "
+                             f"order {self.beta}, got {soe.beta}")
         per_mode = (-1,) + (1,) * self.u0.ndim
         self.decay, self.c1, self.c2 = (
             c.reshape(per_mode) for c in mode_step_coeffs(self.scheme, soe.nodes, self.dt))

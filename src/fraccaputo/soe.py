@@ -25,7 +25,6 @@ __all__ = [
     "SoEApproximation",
     "build_soe",
     "soe_eval",
-    "soe_error_bound",
     "soe_error_bound_terms",
     "soe_max_error",
     "tail_integral",
@@ -110,9 +109,12 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
     Low-band weights come out of the power rule divided by Gamma(beta);
     ladder weights additionally carry the factor s**(beta-1) evaluated at
     the Legendre nodes, so every mode exposes the same (w, s) interface.
+    ``bound`` is the sum of ``soe_error_bound_terms``.
     """
     if not 0 < delta < horizon:
         raise ValueError("need 0 < delta < horizon")
+    # first, so that an order whose Gamma(beta) overflows fails there as bad input
+    eps = sum(soe_error_bound_terms(beta, params, delta, horizon))
     gb = math.gamma(beta)
     a, b = params.ladder_lo, params.n_hi
     nodes, weights = [], []
@@ -128,7 +130,6 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
         raise ConstructionError("parameter combination yields zero modes")
     s = np.concatenate(nodes)
     w = np.concatenate(weights)
-    eps = soe_error_bound(beta, params, delta, horizon)
     return SoEApproximation(beta, delta, horizon, s, w, len(s), eps)
 
 
@@ -141,15 +142,11 @@ def soe_eval(soe: SoEApproximation, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def soe_error_bound(beta: float, params: SoEParams, delta: float, horizon: float) -> float:
-    """Closed-form bound on max_{[delta,horizon]} |t**-beta - soe(t)|."""
-    return sum(soe_error_bound_terms(beta, params, delta, horizon))
-
-
 def soe_error_bound_terms(
     beta: float, params: SoEParams, delta: float, horizon: float
 ) -> tuple[float, float, float]:
-    """The (tail, low-band rule, ladder rule) contributions to the bound.
+    """The (tail, low-band rule, ladder rule) contributions to the
+    closed-form bound on max_{[delta,horizon]} |t**-beta - soe(t)|.
 
     beta in (1, 2) and beta in (0, 1) use different closed forms; beta = 1
     is outside both and rejected.  With n1 = 0 the low-band term is the
@@ -158,7 +155,10 @@ def soe_error_bound_terms(
     """
     if not (0.0 < beta < 1.0 or 1.0 < beta < 2.0):
         raise ValueError(f"bound is defined for beta in (0,1) or (1,2), got {beta}")
-    gb = math.gamma(beta)
+    try:
+        gb = math.gamma(beta)
+    except OverflowError:
+        raise ValueError(f"Gamma overflows at kernel order beta = {beta!r}") from None
     a, b, n1, n2 = params.ladder_lo, params.n_hi, params.n1, params.n2
     T = horizon
     ladder_const = (math.exp(1.0 / math.e) / 4.0) ** (2 * n2)

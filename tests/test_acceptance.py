@@ -324,7 +324,7 @@ def test_criterion_9_oracle_equivalence():
 
 
 def test_criterion_10_gl_stability():
-    res = gl_stability_suite(seed=42, n_pairs=20, n_steps=2000)
+    res = gl_stability_suite(seed=42)
     ok = res["status"] == "pass" and res["checked"] == 20
     assert report(10, ok, f"20 damped systems over 2000 implicit steps: "
                           f"{len(res['violations'])} growth events")

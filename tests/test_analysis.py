@@ -41,10 +41,10 @@ def test_theorem_constants_vanishing_kernel_error():
     np.testing.assert_allclose(fir.mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
     np.testing.assert_allclose(fir.rho, t_n ** (1.0 - alpha) / math.gamma(2.0 - alpha),
                                rtol=1e-14)
-    assert fir.admissible
+    assert fir.mu > 0
     fidr = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "FIDR")
     np.testing.assert_allclose(fidr.mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
-    assert fidr.admissible
+    assert fidr.mu > 0
 
 
 def test_theorem_constants_fir_plug_in():
@@ -57,7 +57,7 @@ def test_theorem_constants_fir_plug_in():
 def test_theorem_constants_inadmissible_flag():
     # eps above t_n**-alpha makes the leading constant negative
     c = theorem_constants(0.5, 1.0, 0.99, 0.01, 5.0, "FIDR")
-    assert c.mu < 0 and not c.admissible
+    assert c.mu < 0
     with pytest.raises(ValueError):
         theorem_constants(0.5, 1.0, 0.9, 0.1, 0.0, "L2")
 

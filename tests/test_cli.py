@@ -119,6 +119,16 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("alpha", ["1e-320", "1e-17"])
+def test_tiny_order_is_a_validation_error(tmp_path, capsys, alpha):
+    """Gamma(alpha) overflows at 1e-320 and alpha - 1 rounds to -1 at 1e-17:
+    both are bad input (2) with a JSON error line, not a traceback."""
+    code, _ = run_cli(tmp_path, "solve", "--alpha", alpha, "--dt", "0.5", "--h", "0.5",
+                      "--scheme", "fidr")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
 def test_solve_blowup_exit_code(tmp_path, monkeypatch):
     """A run whose field overflows is a numerical failure (4), not bad input (2)."""
     monkeypatch.setattr(cli, "nonlinear_problem", lambda alpha, x_lo, x_hi: DiffusionProblem(

@@ -237,6 +237,15 @@ def test_mode_count_mismatch_rejected():
         fir_step(state, soe, 1.0)   # wrong scheme tag
 
 
+@pytest.mark.parametrize("scheme,beta", [("fir", 0.3), ("fidr", 1.3)])
+def test_kernel_of_wrong_order_rejected(scheme, beta):
+    """fir compresses t**-(1+alpha) and fidr t**-alpha; a state refuses the other."""
+    soe = build_soe(beta, SoEParams.from_ladder(0, 10, 4, 4), 1e-2, 1.0)
+    state = new_history(scheme, 0.3, 1e-2, 0.0, n_modes=soe.n_modes)
+    with pytest.raises(ValueError):
+        (fir_step if scheme == "fir" else fidr_step)(state, soe, 1.0)
+
+
 # --- binomial baseline -------------------------------------------------------
 
 def test_gl_zero_path():

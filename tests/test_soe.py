@@ -10,7 +10,6 @@ from fraccaputo.soe import (
     SoEApproximation,
     SoEParams,
     build_soe,
-    soe_error_bound,
     soe_error_bound_terms,
     soe_eval,
     soe_max_error,
@@ -92,22 +91,22 @@ def test_bound_tail_term_low_order():
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.1, 1.5])
 def test_bound_monotone_in_rule_sizes(beta):
-    base = soe_error_bound(beta, SoEParams.from_ladder(2, 9, 3, 3), 1e-2, 1.0)
-    more_n1 = soe_error_bound(beta, SoEParams.from_ladder(2, 9, 5, 3), 1e-2, 1.0)
-    more_n2 = soe_error_bound(beta, SoEParams.from_ladder(2, 9, 3, 5), 1e-2, 1.0)
+    base = sum(soe_error_bound_terms(beta, SoEParams.from_ladder(2, 9, 3, 3), 1e-2, 1.0))
+    more_n1 = sum(soe_error_bound_terms(beta, SoEParams.from_ladder(2, 9, 5, 3), 1e-2, 1.0))
+    more_n2 = sum(soe_error_bound_terms(beta, SoEParams.from_ladder(2, 9, 3, 5), 1e-2, 1.0))
     assert more_n1 <= base
     assert more_n2 <= base
 
 
 def test_bound_low_order_beats_high_order_at_small_delta():
-    lo = soe_error_bound(0.1, BENCH, 1e-3, 1.0)
-    hi = soe_error_bound(1.1, BENCH, 1e-3, 1.0)
+    lo = sum(soe_error_bound_terms(0.1, BENCH, 1e-3, 1.0))
+    hi = sum(soe_error_bound_terms(1.1, BENCH, 1e-3, 1.0))
     assert lo < hi
 
 
 def test_bound_rejects_beta_one():
     with pytest.raises(ValueError):
-        soe_error_bound(1.0, BENCH, 1e-2, 1.0)
+        sum(soe_error_bound_terms(1.0, BENCH, 1e-2, 1.0))
 
 
 def test_certification_random_configs():
@@ -143,13 +142,15 @@ def test_dropped_low_band_is_bounded(beta, a, b, n2):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(beta=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
        a=st.integers(-4, 5), n1=st.integers(0, 8), n2=st.integers(1, 16),
-       log_delta=st.floats(-4.0, -1.0), data=st.data())
-def test_bound_holds_over_random_partitions(beta, a, n1, n2, log_delta, data):
-    """Sampled error <= certified bound for every partition, n1 = 0 included.
-    beta stays 0.01 away from 0, 1 and 2, where Gamma(beta) overflows or
-    the power-rule exponent beta - 1 rounds out of (-1, 1)."""
+       log_delta=st.floats(-4.0, -1.0), log_horizon=st.floats(-0.5, 3.0), data=st.data())
+def test_bound_holds_over_random_partitions(beta, a, n1, n2, log_delta, log_horizon, data):
+    """Sampled error <= certified bound for every partition, n1 = 0 included,
+    on windows [delta, T] up to T = 1000 (the low-band rule term grows with
+    T).  beta stays 0.01 away from 0, 1 and 2, where Gamma(beta) overflows
+    or the power-rule exponent beta - 1 rounds out of (-1, 1)."""
     b = data.draw(st.integers(a + 1, 31), label="b")
-    soe = build_soe(beta, SoEParams.from_ladder(a, b, n1, n2), 10.0 ** log_delta, 1.0)
+    soe = build_soe(beta, SoEParams.from_ladder(a, b, n1, n2), 10.0 ** log_delta,
+                    10.0 ** log_horizon)
     max_err, _ = soe_max_error(soe, 2000)
     assert max_err <= soe.bound * (1.0 + SLACK)
 
