@@ -132,7 +132,7 @@ def cmd_soe_error(args) -> int:
     fir_err = alpha * np.abs(t ** -(1.0 + alpha) - soe_eval(fir, t))
     fidr_err = np.abs(t ** -alpha - soe_eval(fidr, t))
     config = {"command": "soe-error", "alpha": alpha, "n_modes": params.n_modes,
-              "a": params.ladder_lo, "b": params.n_hi, "n1": params.n1, "n2": params.n2,
+              "a": params.a, "b": params.b, "n1": params.n1, "n2": params.n2,
               "delta": delta, "horizon": horizon, "samples": n_samples}
     rows = [[_fmt(ti), _fmt(fi), _fmt(di)] for ti, fi, di in zip(t, fir_err, fidr_err)]
     _write_text(args.out, _csv(config, ["t", "fir_err_alpha", "fidr_err"], rows))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .schemes import FastHistory, GLHistory, L1History, TimeGrid, _check_order, kernel_order
+from .schemes import DirectHistory, FastHistory, TimeGrid, _check_order, kernel_order
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -166,7 +166,7 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
             evaluator.use_kernel(kernel)
             kernels.append(kernel)
         else:
-            evaluator = (L1History if scheme == "l1" else GLHistory)(order, dt, start, n_steps)
+            evaluator = DirectHistory(scheme, order, dt, start, n_steps)
         evaluators.append(evaluator)
     interior, boundary = evaluators
     soe_i, soe_b = kernels or (None, None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import theorem_constants, truncation_bound
-from .schemes import GLHistory, caputo_reference, kernel_order, new_history
+from .schemes import DirectHistory, caputo_reference, kernel_order, new_history
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -180,7 +180,7 @@ def gl_stability_suite(seed: int) -> dict:
     """Implicit fractional-difference solve of D^p u = c u must not grow,
     for 20 random pairs (p, c) with Re(c) <= 0 over 2000 steps.
 
-    D is ``GLHistory``, the Caputo-form rule every entry point runs, on
+    D is the gl ``DirectHistory``, the rule every entry point runs, on
     complex samples from u^0 = 1.
     """
     rng = np.random.default_rng(seed)
@@ -192,7 +192,7 @@ def gl_stability_suite(seed: int) -> dict:
         dt = float(rng.uniform(1e-3, 1e-1))
         u = np.empty(n_steps + 1, dtype=complex)
         u[0] = 1.0
-        ev = GLHistory(p, dt, u[0], n_steps)
+        ev = DirectHistory("gl", p, dt, u[0], n_steps)
         known, push, gain = ev.known, ev.push, ev.sigma - c
         for n in range(1, n_steps + 1):
             # sigma * u^n + known() = c * u^n

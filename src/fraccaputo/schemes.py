@@ -1,8 +1,11 @@
 """Evaluators of the Caputo derivative on a uniform grid.
 
-Four discretizations, one evaluator class each, consume samples u^0,
-u^1, ... one step at a time, as fields in the diffusion solver and as
-scalar streams through the ``*_step`` functions:
+Four discretizations consume samples u^0, u^1, ... one step at a time,
+as fields in the diffusion solver and as scalar streams through the
+``*_step`` functions.  The two full-history rules are one evaluator,
+``DirectHistory``, which sums weights against u - u^0 and differs per
+rule only in its factor sigma and its weight table; the two fast rules
+are ``FastHistory``:
 
 * ``l1``   -- direct piecewise-linear rule, O(n) per step;
 * ``fir``  -- fast rule compressing the integrated-by-parts history
@@ -10,7 +13,7 @@ scalar streams through the ``*_step`` functions:
 * ``fidr`` -- fast rule compressing t**-alpha directly against the
   sample increments, O(N_modes) per step;
 * ``gl``   -- fractional-difference rule with binomial weights over the
-  full history (the storage-hungry baseline), in Caputo form.
+  full history (the storage-hungry baseline).
 """
 from __future__ import annotations
 
@@ -26,8 +29,7 @@ __all__ = [
     "TimeGrid",
     "FastHistory",
     "kernel_order",
-    "L1History",
-    "GLHistory",
+    "DirectHistory",
     "new_history",
     "fir_step",
     "fidr_step",
@@ -206,73 +208,42 @@ class FastHistory(_Evaluator):
         self.step_index += 1
 
 
-class _DirectHistory(_Evaluator):
-    """Every sample so far less the anchor, in an array that doubles when
-    full, with a coefficient table as long; ``n_steps`` sizes it for a run
-    of known length.  Samples keep their dtype (real or complex)."""
+class DirectHistory(_Evaluator):
+    """l1 or gl in Caputo form, anchor u^0:
+    D u^n = sigma * sum_{j=0}^{n} w_j (u^{n-j} - u^0), w_0 = 1, where l1 has
+    sigma = dt**-a / Gamma(2-a) and the weights of ``_l1_coefficients``, and
+    gl has sigma = dt**-a and those of ``gl_coefficients``.  Every sample so
+    far less u^0 sits in an array that doubles when full, beside a table one
+    longer; ``n_steps`` sizes it for a run of known length.  Samples keep
+    their dtype (real or complex)."""
 
-    def __init__(self, alpha: float, dt: float, u0, n_steps: int = 1):
+    def __init__(self, scheme: str, alpha: float, dt: float, u0, n_steps: int = 1):
         _check_order(alpha)
-        self.alpha, self.dt = alpha, dt
-        u0 = _samples(u0)
-        self.hist = np.empty((n_steps + 1,) + u0.shape, dtype=u0.dtype)
-        self.hist[0] = u0 - self.anchor
-        self.coeffs = self._table(n_steps + 1)
+        self._table = {"l1": _l1_coefficients, "gl": gl_coefficients}[scheme]
+        self.scheme, self.alpha, self.dt = scheme, alpha, dt
+        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha) if scheme == "l1" else dt ** -alpha
+        # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
+        self.anchor = _samples(u0)[()]
+        self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
+        self.coeffs = self._table(alpha, n_steps + 1)
+
+    def history_term(self):
+        n = self.step_index + 1
+        return self.sigma * _contract(self.coeffs[1: n + 1], self.hist[n - 1::-1])
 
     def push(self, u) -> None:
         k = self.step_index = self.step_index + 1
         if k == len(self.hist):
             self.hist = np.concatenate([self.hist, np.empty_like(self.hist)])
-            self.coeffs = self._table(2 * k)
+            self.coeffs = self._table(self.alpha, 2 * k)
         self.hist[k] = u - self.anchor
 
 
-class L1History(_DirectHistory):
-    """Direct L1 rule, anchor 0: D u^n = sigma * [u^n - a_{n-1} u^0
-    - sum_{j=1}^{n-1} (a_{j-1}-a_j) u^{n-j}], a_l = (l+1)**(1-a) - l**(1-a)."""
-
-    scheme, anchor = "l1", 0.0
-
-    def __init__(self, alpha: float, dt: float, u0, n_steps: int = 1):
-        super().__init__(alpha, dt, u0, n_steps)
-        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
-
-    def _table(self, length: int) -> np.ndarray:
-        l = np.arange(length, dtype=float)
-        return (l + 1.0) ** (1.0 - self.alpha) - l ** (1.0 - self.alpha)
-
-    def bracket(self, hist: np.ndarray, n: int, head=0.0):
-        """The bracket over samples hist[0..n-1], with ``head`` for u^n."""
-        if len(self.coeffs) < n:
-            raise ValueError(f"coefficient table too short: have {len(self.coeffs)}, need {n}")
-        a = self.coeffs
-        if n >= 2:
-            head = head - _contract(a[: n - 1] - a[1:n], hist[n - 1:0:-1])
-        return head - a[n - 1] * hist[0]
-
-    def history_term(self):
-        return self.sigma * self.bracket(self.hist, self.step_index + 1)
-
-
-class GLHistory(_DirectHistory):
-    """Binomial rule in Caputo form, anchor u^0:
-    D u^n = dt**-p * sum_{m=0}^{n} c_m (u^{n-m} - u^0), c_m = (-1)^m C(p, m).
-    Differencing u - u^0 drops the Riemann-Liouville term of u^0 != 0."""
-
-    scheme = "gl"
-
-    def __init__(self, p: float, dt: float, u0, n_steps: int = 1):
-        # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
-        self.anchor = _samples(u0)[()]
-        super().__init__(p, dt, u0, n_steps)
-        self.sigma = dt ** -p
-
-    def _table(self, length: int) -> np.ndarray:
-        return gl_coefficients(self.alpha, length)
-
-    def history_term(self):
-        n = self.step_index + 1
-        return self.sigma * _contract(self.coeffs[1: n + 1], self.hist[n - 1::-1])
+def _l1_coefficients(alpha: float, n: int) -> np.ndarray:
+    """L1 weights w_0 .. w_n in Caputo form, w_j = a_j - a_{j-1} with
+    a_l = (l+1)**(1-alpha) - l**(1-alpha) and a_{-1} = 0, so cumsum(w) = a."""
+    l = np.arange(n + 1, dtype=float)
+    return np.diff((l + 1.0) ** (1.0 - alpha) - l ** (1.0 - alpha), prepend=0.0)
 
 
 def gl_coefficients(p: float, n: int) -> np.ndarray:
@@ -294,7 +265,7 @@ def new_history(scheme: str, alpha: float, dt: float, u0, n_modes: int = 0):
     if scheme in ("fir", "fidr"):
         return FastHistory(scheme, alpha, dt, u0, n_modes)
     if scheme in ("l1", "gl"):
-        return (L1History if scheme == "l1" else GLHistory)(alpha, dt, u0)
+        return DirectHistory(scheme, alpha, dt, u0)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -315,25 +286,31 @@ def fidr_step(state: FastHistory, soe: SoEApproximation, u_n):
     return _fast_step("fidr", state, soe, u_n)
 
 
-def gl_step(state: GLHistory, u_n, p: float):
+def gl_step(state: DirectHistory, u_n, p: float):
     """Caputo fractional-difference rule of order p."""
     if getattr(state, "scheme", None) != "gl" or p != state.alpha:
         raise ValueError(f"state is not a gl state of order {p}")
     return state.step(u_n), state
 
 
-def l1_weights(alpha: float, n_max: int) -> L1History:
-    """The L1 table a_0 .. a_{n_max-1} for ``l1_step`` (an empty evaluator)."""
-    return L1History(alpha, 1.0, 0.0, max(n_max - 1, 0))
+def l1_weights(alpha: float, n_max: int) -> DirectHistory:
+    """An empty l1 evaluator whose table ``coeffs`` holds at least the
+    weights w_0 .. w_{n_max-1} that ``l1_step`` reads on paths of up to
+    n_max steps."""
+    return DirectHistory("l1", alpha, 1.0, 0.0, max(n_max - 2, 0))
 
 
-def l1_step(weights: L1History, buffer, dt: float) -> float:
-    """Direct rule on the full history u^0..u^n (n = len(buffer) - 1)."""
+def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
+    """Direct rule on the full history u^0..u^n (n = len(buffer) - 1):
+    dt**-a / Gamma(2-a) * sum_{j<n} w_j (u^{n-j} - u^0)."""
     u = np.asarray(buffer, dtype=float)
-    if len(u) < 2:
+    n, w = len(u) - 1, weights.coeffs
+    if n < 1:
         raise ValueError("need at least two samples (one step)")
+    if len(w) < n or weights.scheme != "l1":
+        raise ValueError(f"need an l1 table of {n} weights, have a {weights.scheme} one of {len(w)}")
     sigma = dt ** -weights.alpha / math.gamma(2.0 - weights.alpha)
-    return float(sigma * weights.bracket(u, len(u) - 1, u[-1]))
+    return float(sigma * np.dot(w[:n], u[n:0:-1] - u[0]))
 
 
 # ---------------------------------------------------------------------------

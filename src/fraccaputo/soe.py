@@ -37,11 +37,11 @@ class SoEParams:
 
     Attributes
     ----------
-    m : int
-        The power-weight rule covers [0, 2**-m]; the dyadic ladder starts
-        at exponent a = -m.
-    n_hi : int
-        Ladder top exponent b: the last Legendre interval is
+    a : int
+        Ladder bottom exponent: the power-weight rule covers [0, 2**a]
+        and the dyadic ladder starts there.
+    b : int
+        Ladder top exponent: the last Legendre interval is
         [2**(b-1), 2**b] and everything above 2**b is dropped.
     n1 : int
         Nodes of the power-weight rule.  0 drops the low band; the bound
@@ -50,14 +50,14 @@ class SoEParams:
         Legendre nodes per dyadic interval.
     """
 
-    m: int
-    n_hi: int
+    a: int
+    b: int
     n1: int
     n2: int
 
     def __post_init__(self) -> None:
-        if not -self.m < self.n_hi:
-            raise ValueError(f"ladder is empty: a={-self.m} must be < b={self.n_hi}")
+        if not self.a < self.b:
+            raise ValueError(f"ladder is empty: a={self.a} must be < b={self.b}")
         if self.n1 < 0:
             raise ValueError("n1 must be >= 0")
         if self.n2 < 1:
@@ -65,16 +65,12 @@ class SoEParams:
 
     @classmethod
     def from_ladder(cls, a: int, b: int, n1: int, n2: int) -> "SoEParams":
-        """Construct from ladder exponents (a, b) directly."""
-        return cls(m=-a, n_hi=b, n1=n1, n2=n2)
-
-    @property
-    def ladder_lo(self) -> int:
-        return -self.m
+        """Construct from ladder exponents (a, b) and node counts."""
+        return cls(a, b, n1, n2)
 
     @property
     def n_modes(self) -> int:
-        return self.n1 + self.n2 * (self.n_hi - self.ladder_lo)
+        return self.n1 + self.n2 * (self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,7 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
     # first, so that an order whose Gamma(beta) overflows fails there as bad input
     eps = sum(soe_error_bound_terms(beta, params, delta, horizon))
     gb = math.gamma(beta)
-    a, b = params.ladder_lo, params.n_hi
+    a, b = params.a, params.b
     nodes, weights = [], []
     if params.n1 > 0:
         rule = gauss_jacobi_power(params.n1, beta - 1.0, 2.0 ** a)
@@ -159,7 +155,7 @@ def soe_error_bound_terms(
         gb = math.gamma(beta)
     except OverflowError:
         raise ValueError(f"Gamma overflows at kernel order beta = {beta!r}") from None
-    a, b, n1, n2 = params.ladder_lo, params.n_hi, params.n1, params.n2
+    a, b, n1, n2 = params.a, params.b, params.n1, params.n2
     T = horizon
     ladder_const = (math.exp(1.0 / math.e) / 4.0) ** (2 * n2)
     if n1 == 0:

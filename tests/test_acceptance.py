@@ -166,15 +166,17 @@ def test_criterion_4_table2_reproduction(table2_runs):
 
 def test_criterion_4_timing_parity():
     # five fresh pairs, interleaved in alternating order and timed in process
-    # CPU time; the minima filter other processes' load out of the comparison
+    # CPU time; a pair's two solves run back to back, so each pair's ratio
+    # sees one host speed, and the median of those ratios is compared
     cpu = {"fir": [], "fidr": []}
     for k in range(5):
         for scheme in (("fir", "fidr") if k % 2 == 0 else ("fidr", "fir")):
             c0 = time.process_time()
             manufactured_run(0.1, 1e-3, scheme, BENCH25)
             cpu[scheme].append(time.process_time() - c0)
-    w_fir, w_fidr = min(cpu["fir"]), min(cpu["fidr"])
-    ratio = max(w_fir, w_fidr) / min(w_fir, w_fidr)
+    w_fir, w_fidr = np.median(cpu["fir"]), np.median(cpu["fidr"])
+    pair_ratio = float(np.median(np.divide(cpu["fir"], cpu["fidr"])))
+    ratio = max(pair_ratio, 1.0 / pair_ratio)
     ok = ratio <= 1.2
     assert report(4, ok, f"(timing note) fir {w_fir:.2f}s vs fidr {w_fidr:.2f}s, "
                          f"ratio {ratio:.2f} <= 1.2")

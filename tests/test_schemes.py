@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraccaputo.analysis import truncation_bound
 from fraccaputo.schemes import (
@@ -12,6 +14,7 @@ from fraccaputo.schemes import (
     fir_step,
     gl_coefficients,
     gl_step,
+    kernel_order,
     l1_step,
     l1_weights,
     lam1,
@@ -70,11 +73,15 @@ def test_stable_coefficients_match_definitions():
 # --- direct rule -------------------------------------------------------------
 
 def test_l1_weights_invariants():
-    w = l1_weights(0.4, 50)
-    assert len(w.coeffs) == 50
-    assert w.coeffs[0] == 1.0
-    assert np.all(np.diff(w.coeffs) < 0)
-    assert np.all(w.coeffs > 0)
+    """The Caputo-form table w has cumsum(w) = a, the L1 table a_0 = 1 > a_1
+    > ... > 0: so w_0 = 1 and every later weight is negative."""
+    w = l1_weights(0.4, 50).coeffs
+    a = np.cumsum(w)
+    assert len(w) == 50
+    assert w[0] == 1.0
+    assert np.all(w[1:] < 0)
+    assert np.all(np.diff(a) < 0)
+    assert np.all(a > 0)
 
 
 def test_l1_constant_is_zero():
@@ -103,6 +110,13 @@ def test_l1_quadratic_within_consistency_bound():
 def test_l1_requires_one_step():
     with pytest.raises(ValueError):
         l1_step(l1_weights(0.5, 10), [1.0], 0.1)
+
+
+def test_l1_step_rejects_unfit_table():
+    with pytest.raises(ValueError):
+        l1_step(l1_weights(0.5, 5), np.zeros(12), 0.1)   # path longer than the table
+    with pytest.raises(ValueError):
+        l1_step(new_history("gl", 0.5, 1.0, 0.0), np.zeros(2), 0.1)
 
 
 # --- fast rules --------------------------------------------------------------
@@ -336,22 +350,41 @@ def test_scheme_agreement_sample_paths():
         assert np.max(np.abs(run_scheme("FIDR", alpha, u, dt, soe=fidr) - base)) <= 1e-9 * scale
 
 
-def test_linearity_of_all_schemes():
-    rng = np.random.default_rng(31)
-    alpha, dt, n = 0.4, 0.02, 25
-    u = rng.normal(size=n + 1)
-    v = rng.normal(size=n + 1)
-    soe1 = build_soe(1.0 + alpha, SoEParams.from_ladder(0, 11, 4, 4), dt, 1.0)
-    soe0 = build_soe(alpha, SoEParams.from_ladder(0, 11, 4, 4), dt, 1.0)
-    for evaluate in (
-        lambda w: l1_all(alpha, w, dt),
-        lambda w: run_scheme("FIR", alpha, w, dt, soe=soe1),
-        lambda w: run_scheme("FIDR", alpha, w, dt, soe=soe0),
-        lambda w: run_scheme("GL", alpha, w, dt, p=alpha),
-    ):
-        lhs = evaluate(u + v)
-        rhs = evaluate(u) + evaluate(v)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(rhs))))
+# 0, or far enough from 0 that a * u stays clear of subnormal numbers,
+# whose rounding is absolute rather than relative
+COEFF = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scheme=st.sampled_from(["l1", "gl", "fir", "fidr"]), alpha=st.floats(0.01, 0.99),
+       log_dt=st.floats(-3.0, -1.0), n=st.integers(2, 80), seed=st.integers(0, 2 ** 32 - 1),
+       a=COEFF, b=COEFF, complex_samples=st.booleans())
+def test_linearity_of_all_schemes(scheme, alpha, log_dt, n, seed, a, b, complex_samples):
+    """D(a u + b v) = a Du + b Dv for every streamed rule, on real samples and,
+    for l1 and gl (which keep the samples' dtype), complex ones with an
+    imaginary a, up to a rounding slack of sigma * (|a| |u|_inf + |b| |v|_inf)."""
+    dt = 10.0 ** log_dt
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(2, 1))
+    u, v = rng.normal(size=(2, n + 1)) * scale
+    if complex_samples and scheme in ("l1", "gl"):
+        u, v = (u, v) + 1j * rng.normal(size=(2, n + 1)) * scale
+        a = 1j * a
+    soe = None
+    if scheme in ("fir", "fidr"):
+        soe = build_soe(kernel_order(scheme, alpha), SoEParams.from_ladder(0, 10, 4, 4),
+                        dt, n * dt)
+
+    def stream(path):
+        ev = new_history(scheme, alpha, dt, path[0], n_modes=soe.n_modes if soe else 0)
+        if soe is not None:
+            ev.use_kernel(soe)
+        return np.array([ev.step(x) for x in path[1:]]), ev.sigma
+
+    lhs, sigma = stream(a * u + b * v)
+    rhs = a * stream(u)[0] + b * stream(v)[0]
+    slack = 1e-13 * sigma * (abs(a) * np.max(np.abs(u)) + abs(b) * np.max(np.abs(v)))
+    assert np.all(np.abs(lhs - rhs) <= slack)
 
 
 def test_timegrid_contract():

@@ -28,11 +28,11 @@ def test_params_mode_count():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SoEParams(m=-5, n_hi=5, n1=4, n2=3)   # empty ladder
+        SoEParams(a=5, b=5, n1=4, n2=3)   # empty ladder
     with pytest.raises(ValueError):
-        SoEParams(m=0, n_hi=5, n1=4, n2=0)
+        SoEParams(a=0, b=5, n1=4, n2=0)
     with pytest.raises(ValueError):
-        SoEParams(m=0, n_hi=5, n1=-1, n2=1)
+        SoEParams(a=0, b=5, n1=-1, n2=1)
 
 
 def test_single_dyadic_interval_single_mode():
