@@ -20,7 +20,7 @@ import numpy as np
 from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
 from .quadrature import ConstructionError
-from .schemes import TimeGrid
+from .schemes import TimeGrid, kernel_order
 from .soe import SoEParams, build_soe, soe_eval, tail_integral
 
 EXIT_OK = 0
@@ -126,8 +126,7 @@ def cmd_soe_error(args) -> int:
     params = _soe_params(args)
     n_samples = int(_cfg(args, "samples"))
     delta, horizon = 1e-3, 1.0
-    fir = build_soe(1.0 + alpha, params, delta, horizon)
-    fidr = build_soe(alpha, params, delta, horizon)
+    fir, fidr = (build_soe(kernel_order(s, alpha), params, delta, horizon) for s in ("fir", "fidr"))
     t = np.geomspace(delta, horizon, n_samples)
     fir_err = alpha * np.abs(t ** -(1.0 + alpha) - soe_eval(fir, t))
     fidr_err = np.abs(t ** -alpha - soe_eval(fidr, t))

@@ -122,9 +122,10 @@ def _banded_matrix(n_pts: int, h: float, sigma: float, sigma_b: float) -> np.nda
     ab[0, 1] = -2.0 / h ** 2
     ab[2, :-1] = -1.0 / h ** 2
     ab[2, -2] = -2.0 / h ** 2
-    # every row carries off-diagonal mass exactly 2/h**2, so sigma > 0 makes
-    # the matrix strictly diagonally dominant and the solve nonsingular
-    assert np.all(ab[1, :] > 2.0 / h ** 2)
+    # every row carries off-diagonal mass exactly 2/h**2, so sigma > 0 makes the
+    # matrix strictly diagonally dominant, unless a long dt rounds sigma away
+    if not np.all(ab[1, :] > 2.0 / h ** 2):
+        raise ValueError(f"time term {sigma:.3g} is lost beside 2/h**2; shorten dt or widen h")
     return ab
 
 

@@ -1,11 +1,11 @@
 """Evaluators of the Caputo derivative on a uniform grid.
 
 Four discretizations consume samples u^0, u^1, ... one step at a time,
-as fields in the diffusion solver and as scalar streams through the
-``*_step`` functions.  The two full-history rules are one evaluator,
-``DirectHistory``, which sums weights against u - u^0 and differs per
-rule only in its factor sigma and its weight table; the two fast rules
-are ``FastHistory``:
+as 1-D fields in the solver and as scalar streams through the ``*_step``
+functions, with one history term ``weights @ state`` for both.  The two
+full-history rules are one evaluator, ``DirectHistory``, which sums weights
+against u - u^0 and differs per rule only in its factor sigma and its
+weight table; the two fast rules are ``FastHistory``:
 
 * ``l1``   -- direct piecewise-linear rule, O(n) per step;
 * ``fir``  -- fast rule compressing the integrated-by-parts history
@@ -99,11 +99,11 @@ def lam2(x):
 
 
 def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
-    """Per-mode (decay, c_prev, c_prev2) of the one-step recurrence
-    ``modes <- decay*modes + c_prev*u_prev + c_prev2*u_prev2``.
+    """Per-mode (decay, c1, c2) of modes <- decay*modes + c1*u^n + c2*u^{n-1},
+    the recurrence of ``FastHistory.push(u^n)``, the only mutator of modes.
 
-    Both fast rules share this algebraic shape, and the stepper applies
-    them identically, which keeps their per-step cost the same.
+    Both fast rules share this algebraic shape, and push applies them
+    identically, which keeps their per-step cost the same.
     """
     x = nodes * dt
     decay = np.exp(-x)
@@ -123,25 +123,21 @@ def _check_order(alpha: float) -> None:
         raise ValueError("order must lie in (0, 1)")
 
 
-def _samples(u) -> np.ndarray:
-    """A copy of u as a float array, or a complex one for complex u."""
+def _samples(u, dtype=None) -> np.ndarray:
+    """A copy of u, a scalar or 1-D field, as ``dtype``: by default float, or complex as u is."""
     u = np.asarray(u)
-    return u.astype(np.result_type(u, float))
-
-
-def _contract(coeffs: np.ndarray, rows: np.ndarray):
-    """sum_k coeffs[k] * rows[k] over the leading axis, rows of any shape; np.dot
-    for streams and matmul for fields, whose different roundings tests pin."""
-    if rows.ndim == 1:
-        return np.dot(coeffs, rows)
-    return (coeffs @ rows.reshape(len(rows), -1)).reshape(rows.shape[1:])
+    if u.ndim > 1:
+        raise ValueError(f"samples are scalars or 1-D fields, not of shape {u.shape}")
+    return u.astype(dtype or np.result_type(u, float))
 
 
 class _Evaluator:
-    """D u^n = sigma * (u^n - anchor) + history_term() on samples of any
-    shape (a scalar stream has shape ()).  The solver calls ``known()``,
-    the part of D u^n fixed before the solve, then ``push(u^n)``; a stream
-    calls ``step(u^n)``, which keeps the local term a difference."""
+    """D u^n = sigma * (u^n - anchor) + history_term() on scalar samples (a
+    stream) or 1-D fields.  The history term is one ``weights @ state`` on
+    contiguous operands and only reads; ``push(u^n)`` alone advances the
+    state.  The solver calls ``known()``, the part of D u^n fixed before the
+    solve, then ``push``; a stream calls ``step(u^n)``, which keeps the
+    local term a difference."""
 
     step_index = 0
 
@@ -162,16 +158,15 @@ def kernel_order(scheme: str, alpha: float) -> float:
 
 class FastHistory(_Evaluator):
     """fir or fidr on the modes of a compressed kernel; anchor u^{n-1}.
-    From step 2 on, modes <- decay*modes + c1*u^{n-1} + c2*u^{n-2} with
-    the coefficients of ``mode_step_coeffs``; fir adds the boundary terms
-    of its integration by parts, which use u^0."""
+    ``push(u^n)`` advances modes <- decay*modes + c1*u^n + c2*u^{n-1} (the
+    coefficients of ``mode_step_coeffs``), zero at step 1; fir adds the
+    boundary terms of its integration by parts, which use u^0."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         _check_order(alpha)
         self.scheme, self.alpha, self.dt, self.soe = scheme, alpha, dt, None
         self.beta = kernel_order(scheme, alpha)
-        self.u0 = self.anchor = np.array(u0, dtype=float)
-        self.u_prev2 = np.zeros_like(self.u0)
+        self.u0 = self.anchor = _samples(u0, float)
         self.modes = np.zeros((n_modes,) + self.u0.shape)
         self.g1 = math.gamma(1.0 - alpha)
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
@@ -192,30 +187,31 @@ class FastHistory(_Evaluator):
         self.soe = soe
 
     def history_term(self):
-        n, u_prev = self.step_index + 1, self.anchor
-        if n >= 2:
-            self.modes *= self.decay
-            self.modes += self.c1 * u_prev
-            self.modes += self.c2 * self.u_prev2
-        hist = _contract(self.soe.weights, self.modes)
+        hist = self.soe.weights @ self.modes
         if self.scheme == "fir":
-            hist = (u_prev / self.dt ** self.alpha - self.u0 / (n * self.dt) ** self.alpha
+            n = self.step_index + 1
+            hist = (self.anchor / self.dt ** self.alpha - self.u0 / (n * self.dt) ** self.alpha
                     - self.alpha * hist)
         return hist / self.g1
 
     def push(self, u) -> None:
-        self.u_prev2, self.anchor = self.anchor, np.array(u, dtype=float)
-        self.step_index += 1
+        u = np.array(u, dtype=float)
+        self.modes *= self.decay
+        self.modes += self.c1 * u
+        self.modes += self.c2 * self.anchor
+        self.anchor, self.step_index = u, self.step_index + 1
 
 
 class DirectHistory(_Evaluator):
     """l1 or gl in Caputo form, anchor u^0:
     D u^n = sigma * sum_{j=0}^{n} w_j (u^{n-j} - u^0), w_0 = 1, where l1 has
     sigma = dt**-a / Gamma(2-a) and the weights of ``_l1_coefficients``, and
-    gl has sigma = dt**-a and those of ``gl_coefficients``.  Every sample so
-    far less u^0 sits in an array that doubles when full, beside a table one
-    longer; ``n_steps`` sizes it for a run of known length.  Samples keep
-    their dtype (real or complex)."""
+    gl has sigma = dt**-a and those of ``gl_coefficients``.  ``hist`` holds
+    every sample so far less u^0, and ``rev`` the L = len(hist) + 1 weights
+    reversed and contiguous, so step n contracts rev[L-1-n : L-1] @ hist[:n].
+    ``push``, the only mutator, doubles ``hist`` when full and rebuilds
+    ``rev`` to match; ``n_steps`` sizes both for a run of known length.
+    Samples keep their dtype (real or complex)."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_steps: int = 1):
         _check_order(alpha)
@@ -225,17 +221,17 @@ class DirectHistory(_Evaluator):
         # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
         self.anchor = _samples(u0)[()]
         self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
-        self.coeffs = self._table(alpha, n_steps + 1)
+        self.rev = self._table(alpha, n_steps + 1)[::-1].copy()
 
     def history_term(self):
-        n = self.step_index + 1
-        return self.sigma * _contract(self.coeffs[1: n + 1], self.hist[n - 1::-1])
+        n, top = self.step_index + 1, len(self.rev) - 1
+        return self.sigma * (self.rev[top - n: top] @ self.hist[:n])
 
     def push(self, u) -> None:
         k = self.step_index = self.step_index + 1
         if k == len(self.hist):
             self.hist = np.concatenate([self.hist, np.empty_like(self.hist)])
-            self.coeffs = self._table(self.alpha, 2 * k)
+            self.rev = self._table(self.alpha, 2 * k)[::-1].copy()
         self.hist[k] = u - self.anchor
 
 
@@ -294,23 +290,23 @@ def gl_step(state: DirectHistory, u_n, p: float):
 
 
 def l1_weights(alpha: float, n_max: int) -> DirectHistory:
-    """An empty l1 evaluator whose table ``coeffs`` holds at least the
-    weights w_0 .. w_{n_max-1} that ``l1_step`` reads on paths of up to
-    n_max steps."""
+    """An empty l1 evaluator whose reversed table ``rev`` ends in at least
+    the weights w_{n_max-1} .. w_0 that ``l1_step`` reads on paths of up
+    to n_max steps."""
     return DirectHistory("l1", alpha, 1.0, 0.0, max(n_max - 2, 0))
 
 
 def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
     """Direct rule on the full history u^0..u^n (n = len(buffer) - 1):
-    dt**-a / Gamma(2-a) * sum_{j<n} w_j (u^{n-j} - u^0)."""
+    dt**-a / Gamma(2-a) * sum_{j<n} w_j (u^{n-j} - u^0), as rev[-n:] @ (u[1:] - u[0])."""
     u = np.asarray(buffer, dtype=float)
-    n, w = len(u) - 1, weights.coeffs
+    n, rev = len(u) - 1, weights.rev
     if n < 1:
         raise ValueError("need at least two samples (one step)")
-    if len(w) < n or weights.scheme != "l1":
-        raise ValueError(f"need an l1 table of {n} weights, have a {weights.scheme} one of {len(w)}")
+    if len(rev) < n or weights.scheme != "l1":
+        raise ValueError(f"need an l1 table of {n} weights, have a {weights.scheme} one of {len(rev)}")
     sigma = dt ** -weights.alpha / math.gamma(2.0 - weights.alpha)
-    return float(sigma * np.dot(w[:n], u[n:0:-1] - u[0]))
+    return float(sigma * (rev[-n:] @ (u[1:] - u[0])))
 
 
 # ---------------------------------------------------------------------------

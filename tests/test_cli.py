@@ -129,6 +129,15 @@ def test_tiny_order_is_a_validation_error(tmp_path, capsys, alpha):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+def test_step_too_long_for_grid_is_a_validation_error(tmp_path, capsys):
+    """At dt = 1e12 the time term dt**-a / Gamma(2-a) is lost beside 2/h**2,
+    so the matrix is not provably nonsingular: bad input (2), not a traceback."""
+    code, _ = run_cli(tmp_path, "solve", "--alpha", "0.99", "--dt", "1e12", "--T", "1e12",
+                      "--h", "1e-3", "--scheme", "l1")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
 def test_solve_blowup_exit_code(tmp_path, monkeypatch):
     """A run whose field overflows is a numerical failure (4), not bad input (2)."""
     monkeypatch.setattr(cli, "nonlinear_problem", lambda alpha, x_lo, x_hi: DiffusionProblem(

@@ -73,9 +73,10 @@ def test_stable_coefficients_match_definitions():
 # --- direct rule -------------------------------------------------------------
 
 def test_l1_weights_invariants():
-    """The Caputo-form table w has cumsum(w) = a, the L1 table a_0 = 1 > a_1
-    > ... > 0: so w_0 = 1 and every later weight is negative."""
-    w = l1_weights(0.4, 50).coeffs
+    """The Caputo-form table w, stored reversed, has cumsum(w) = a, the L1
+    table a_0 = 1 > a_1 > ... > 0: so w_0 = 1 and every later weight is
+    negative."""
+    w = l1_weights(0.4, 50).rev[::-1]
     a = np.cumsum(w)
     assert len(w) == 50
     assert w[0] == 1.0
@@ -171,11 +172,29 @@ def test_first_step_matches_direct_rule():
     state = new_history("FIR", alpha, dt, u0, n_modes=soe.n_modes)
     val, state = fir_step(state, soe, u1)
     np.testing.assert_allclose(val, direct, rtol=1e-13)
-    assert np.all(state.modes == 0.0)
     soe0 = build_soe(alpha, SoEParams.from_ladder(0, 10, 4, 4), dt, 1.0)
     state0 = new_history("FIDR", alpha, dt, u0, n_modes=soe0.n_modes)
     val0, _ = fidr_step(state0, soe0, u1)
     np.testing.assert_allclose(val0, direct, rtol=1e-13)
+
+
+@pytest.mark.parametrize("scheme", ["l1", "gl", "fir", "fidr"])
+def test_known_is_a_pure_read(scheme):
+    """From step 3 on, two known() calls in one step agree, and the stream
+    read that way goes on matching an untouched twin bit for bit."""
+    alpha, dt = 0.4, 1e-2
+    u = np.random.default_rng(9).normal(size=12)
+    soe = (build_soe(kernel_order(scheme, alpha), SoEParams.from_ladder(0, 10, 4, 4), dt, 1.0)
+           if scheme in ("fir", "fidr") else None)
+    read, twin = (new_history(scheme, alpha, dt, u[0], n_modes=soe.n_modes if soe else 0)
+                  for _ in range(2))
+    for ev in (read, twin):
+        if soe is not None:
+            ev.use_kernel(soe)
+    for n in range(1, len(u)):
+        if n >= 3:
+            np.testing.assert_array_equal(read.known(), read.known())
+        assert read.step(u[n]) == twin.step(u[n])
 
 
 def test_fir_tracks_direct_within_kernel_budget():
@@ -399,3 +418,6 @@ def test_timegrid_contract():
 def test_history_state_validation():
     with pytest.raises(ValueError):
         new_history("bogus", 0.5, 0.1, 0.0)
+    for scheme in ("l1", "gl", "fir", "fidr"):   # samples are scalars or 1-D fields
+        with pytest.raises(ValueError):
+            new_history(scheme, 0.5, 0.1, np.zeros((2, 3)), n_modes=4)
