@@ -6,7 +6,6 @@ baseline), a 1D fractional diffusion solver with nonreflecting
 fractional boundaries, and a benchmark CLI.
 """
 
-from .analysis import ConvergenceStudy, TheoremConstants, fit_rate, theorem_constants, truncation_bound
 from .pde import (
     DiffusionProblem,
     SolveReport,
@@ -15,6 +14,7 @@ from .pde import (
     nonlinear_problem,
     solve,
 )
+from .property_suite import theorem_constants, truncation_bound
 from .quadrature import ConstructionError, QuadRule, gauss_jacobi_power, gauss_legendre
 from .schemes import (
     TimeGrid,
@@ -38,20 +38,17 @@ from .soe import (
 
 __all__ = [
     "ConstructionError",
-    "ConvergenceStudy",
     "DiffusionProblem",
     "QuadRule",
     "SoEApproximation",
     "SoEParams",
     "SolveReport",
     "SpaceGrid",
-    "TheoremConstants",
     "TimeGrid",
     "build_soe",
     "caputo_reference",
     "fidr_step",
     "fir_step",
-    "fit_rate",
     "gauss_jacobi_power",
     "gauss_legendre",
     "gl_step",

@@ -21,7 +21,7 @@ from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
 from .quadrature import ConstructionError
 from .schemes import TimeGrid, kernel_order
-from .soe import SoEParams, build_soe, soe_eval, tail_integral
+from .soe import SoEParams, build_soe, soe_max_error, tail_integral
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -126,14 +126,13 @@ def cmd_soe_error(args) -> int:
     params = _soe_params(args)
     n_samples = int(_cfg(args, "samples"))
     delta, horizon = 1e-3, 1.0
-    fir, fidr = (build_soe(kernel_order(s, alpha), params, delta, horizon) for s in ("fir", "fidr"))
-    t = np.geomspace(delta, horizon, n_samples)
-    fir_err = alpha * np.abs(t ** -(1.0 + alpha) - soe_eval(fir, t))
-    fidr_err = np.abs(t ** -alpha - soe_eval(fidr, t))
+    # both curves are (t, error) rows on the same times; fir's is scaled by alpha
+    fir, fidr = (soe_max_error(build_soe(kernel_order(s, alpha), params, delta, horizon),
+                               n_samples)[1] for s in ("fir", "fidr"))
     config = {"command": "soe-error", "alpha": alpha, "n_modes": params.n_modes,
               "a": params.a, "b": params.b, "n1": params.n1, "n2": params.n2,
               "delta": delta, "horizon": horizon, "samples": n_samples}
-    rows = [[_fmt(ti), _fmt(fi), _fmt(di)] for ti, fi, di in zip(t, fir_err, fidr_err)]
+    rows = [[_fmt(t), _fmt(alpha * fi), _fmt(di)] for (t, fi), (_, di) in zip(fir, fidr)]
     _write_text(args.out, _csv(config, ["t", "fir_err_alpha", "fidr_err"], rows))
     return EXIT_OK
 

@@ -1,22 +1,31 @@
-"""Seeded numerical checks of the schemes' discrete inequalities.
+"""The schemes' error analysis: closed-form constants and bounds, and
+seeded numerical checks of the discrete inequalities they enter.
 
-Every suite draws its random instances from a seeded generator, checks a
+``theorem_constants`` and ``truncation_bound`` evaluate the fast rules'
+energy-estimate constants and the one-step consistency bound.  Every
+suite draws its random instances from a seeded generator, checks a
 closed-form inequality against quantities computed by the actual scheme
 implementations, and reports a status:
 
 * ``pass`` / ``fail``      -- the inequality held / was violated;
 * ``inadmissible``        -- the kernel error is too large for the
   inequality to say anything (vacuous bound), so nothing was checked.
+
+Rules are named as in the rest of the package (l1, fir, fidr, gl), in any
+case.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .analysis import theorem_constants, truncation_bound
-from .schemes import DirectHistory, caputo_reference, kernel_order, new_history
+from .schemes import DirectHistory, _check_order, caputo_reference, kernel_order, new_history
 from .soe import SoEParams, build_soe
 
 __all__ = [
+    "theorem_constants",
+    "truncation_bound",
     "fir_coercivity_suite",
     "fidr_coercivity_suite",
     "mesh_sobolev_suite",
@@ -26,7 +35,49 @@ __all__ = [
     "run_property_suite",
 ]
 
+
+def theorem_constants(alpha: float, t_n: float, t_prev: float, dt: float,
+                      eps: float, variant: str) -> tuple[float, float]:
+    """The constants (mu, rho) of the discrete energy estimate of the fast
+    rule ``variant`` (fir or fidr) under kernel error eps.
+
+    The estimate is vacuous unless mu > 0: a kernel error too large for
+    that leaves nothing to check.
+    """
+    g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
+    scheme = variant.lower()
+    if scheme == "fir":
+        return ((t_n ** -alpha - 2.0 * alpha * eps * t_prev) / g1,
+                (t_n ** (1.0 - alpha) - alpha * (1.0 - alpha) * eps * t_prev * dt) / g2)
+    if scheme == "fidr":
+        return ((t_n ** -alpha - eps) / g1,
+                (dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha) / (2.0 * g1))
+    raise ValueError(f"variant must be fir or fidr, got {variant!r}")
+
+
+def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,
+                     max_u1: float = 0.0, t_prev: float = 0.0,
+                     eps0: float = 0.0) -> float:
+    """One-step consistency bound of the direct rule (``l1``), plus the
+    kernel term eps0 * t_prev * max|u'| / Gamma(1-alpha) for the
+    increment-based fast rule (``fidr``)."""
+    _check_order(alpha)
+    base = (
+        dt ** (2.0 - alpha)
+        / math.gamma(2.0 - alpha)
+        * ((1.0 - alpha) / 12.0 + 2.0 ** (2.0 - alpha) / (2.0 - alpha) - (1.0 + 2.0 ** -alpha))
+        * max_u2
+    )
+    scheme = variant.lower()
+    if scheme == "l1":
+        return base
+    if scheme == "fidr":
+        return base + eps0 * t_prev * max_u1 / math.gamma(1.0 - alpha)
+    raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
+
+
 _SLACK = 1e-12  # absolute-plus-relative float slack on inequality checks
+_N_FUNCS = 100  # random mesh functions per suite
 
 
 def _verdict(name: str, checked: int, violations: list, **extra) -> dict:
@@ -47,29 +98,29 @@ def _coercivity(scheme: str, seed: int, params: SoEParams | None) -> dict:
     100 random mesh functions g of 20 steps, dt = 0.05, order 0.3, with D
     the fast rule ``scheme`` on a kernel built at delta = dt, and mu, rho
     the constants of ``theorem_constants`` under its certified bound."""
-    name, alpha, dt, n_steps, n_funcs = f"{scheme}_coercivity", 0.3, 0.05, 20, 100
+    name, alpha, dt, n_steps = f"{scheme}_coercivity", 0.3, 0.05, 20
     t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
     soe = build_soe(kernel_order(scheme, alpha), params or SoEParams.from_ladder(0, 12, 6, 10),
                     dt, t_n)
     eps = soe.bound
     eps_entry = {"eps" if scheme == "fir" else "eps0": eps}
-    consts = theorem_constants(alpha, t_n, t_prev, dt, eps, scheme.upper())
+    mu, rho = theorem_constants(alpha, t_n, t_prev, dt, eps, scheme)
     # fidr's eps0 must also stay below the slack alpha/((1-alpha) dt^alpha)
     # that caps its leading unrolled coefficient
-    if consts.mu <= 0.0 or (scheme == "fidr" and eps > alpha / ((1.0 - alpha) * dt ** alpha)):
+    if mu <= 0.0 or (scheme == "fidr" and eps > alpha / ((1.0 - alpha) * dt ** alpha)):
         return {"name": name, "status": "inadmissible", "checked": 0, "violations": [],
                 **eps_entry}
     rng = np.random.default_rng(seed)
     violations = []
-    for k in range(n_funcs):
+    for k in range(_N_FUNCS):
         g = rng.normal(size=n_steps + 1)
         g[0] = 2.0 * rng.normal()
         vals = _run(scheme, alpha, g, dt, soe)
         lhs = dt * float(np.dot(vals, g[1:]))
-        rhs = consts.mu / 2.0 * dt * float(np.sum(g[1:] ** 2)) - consts.rho * g[0] ** 2
+        rhs = mu / 2.0 * dt * float(np.sum(g[1:] ** 2)) - rho * g[0] ** 2
         if lhs < rhs - _SLACK * max(1.0, abs(rhs)):
             violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
-    return _verdict(name, n_funcs, violations, **eps_entry)
+    return _verdict(name, _N_FUNCS, violations, **eps_entry)
 
 
 def fir_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
@@ -98,13 +149,13 @@ def fidr_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
     return _coercivity("fidr", seed, params)
 
 
-def mesh_sobolev_suite(seed: int, n_funcs: int = 100) -> dict:
+def mesh_sobolev_suite(seed: int) -> dict:
     """Discrete max-norm bound: |u|_inf^2 <= th |d_x u|^2 + (1/th + 1/L) |u|^2
-    for th in {0.1, 1, 10}, trapezoid-weighted L2 norms."""
+    for th in {0.1, 1, 10}, trapezoid-weighted L2 norms, on 100 random fields."""
     rng = np.random.default_rng(seed)
     violations = []
     checked = 0
-    for k in range(n_funcs):
+    for k in range(_N_FUNCS):
         n = int(rng.integers(4, 200))
         L = float(rng.uniform(0.5, 5.0))
         h = L / n
@@ -122,12 +173,12 @@ def mesh_sobolev_suite(seed: int, n_funcs: int = 100) -> dict:
     return _verdict("mesh_sobolev", checked, violations)
 
 
-def summation_by_parts_suite(seed: int, n_funcs: int = 100) -> dict:
+def summation_by_parts_suite(seed: int) -> dict:
     """-(d_x u_{1/2}) u_0 - h sum (d_x^2 u_i) u_i + (d_x u_{N-1/2}) u_N
-    equals |d_x u|^2 to 1e-11 relative."""
+    equals |d_x u|^2 to 1e-11 relative on 100 random fields."""
     rng = np.random.default_rng(seed)
     violations = []
-    for k in range(n_funcs):
+    for k in range(_N_FUNCS):
         n = int(rng.integers(4, 300))
         h = float(rng.uniform(0.01, 1.0))
         u = rng.normal(size=n + 1)
@@ -137,10 +188,10 @@ def summation_by_parts_suite(seed: int, n_funcs: int = 100) -> dict:
         rhs = h * float(np.sum(dx ** 2))
         if abs(lhs - rhs) > 1e-11 * max(1.0, abs(rhs)):
             violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
-    return _verdict("summation_by_parts", n_funcs, violations)
+    return _verdict("summation_by_parts", _N_FUNCS, violations)
 
 
-def truncation_suite(variant: str = "L1", step_filter=None) -> dict:
+def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     """Consistency-bound check of the direct rule on u = t**2 and u = sin t.
 
     For orders 0.1, 0.5, 0.9 at dt = 1e-3 and every step n <= 1000 (or
@@ -148,8 +199,9 @@ def truncation_suite(variant: str = "L1", step_filter=None) -> dict:
     analytic derivative; the gap must stay below the closed-form bound
     (plus the certified kernel term for the increment-based fast rule).
     """
-    if variant not in ("L1", "FIDR"):
-        raise ValueError("variant must be L1 or FIDR")
+    scheme = variant.lower()
+    if scheme not in ("l1", "fidr"):
+        raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
     dt, n_max = 1e-3, 1000
     steps = [int(n) for n in (range(1, n_max + 1) if step_filter is None else step_filter)]
     t = dt * np.arange(n_max + 1)
@@ -157,23 +209,23 @@ def truncation_suite(variant: str = "L1", step_filter=None) -> dict:
     checked = 0
     for alpha in (0.1, 0.5, 0.9):
         soe = (build_soe(alpha, SoEParams.from_ladder(0, 15, 8, 6), dt, n_max * dt)
-               if variant == "FIDR" else None)
+               if scheme == "fidr" else None)
         for u, m2, ref in (
             (t ** 2, 2.0, lambda n: caputo_reference("power", alpha, t[n], sigma=2.0)),
             (np.sin(t), 1.0, lambda n: caputo_reference("sin", alpha, t[n])),
         ):
-            vals = _run(variant, alpha, u, dt, soe)
+            vals = _run(scheme, alpha, u, dt, soe)
             for n in steps:
                 checked += 1
                 # max|u'| on [0, t_{n-1}]: 1 for sin, 2 t_{n-1} for t**2
-                bnd = truncation_bound(variant, alpha, dt, m2,
+                bnd = truncation_bound(scheme, alpha, dt, m2,
                                        max_u1=1.0 if m2 == 1.0 else 2.0 * t[n - 1],
                                        t_prev=(n - 1) * dt,
                                        eps0=soe.bound if soe is not None else 0.0)
                 gap = abs(vals[n - 1] - ref(n))
                 if gap > bnd:
                     violations.append({"alpha": alpha, "n": n, "gap": gap, "bound": bnd})
-    return _verdict(f"truncation_{variant.lower()}", checked, violations)
+    return _verdict(f"truncation_{scheme}", checked, violations)
 
 
 def gl_stability_suite(seed: int) -> dict:
@@ -211,8 +263,8 @@ def run_property_suite(seed: int, quick: bool = False) -> dict:
         fidr_coercivity_suite(seed + 1),
         mesh_sobolev_suite(seed + 2),
         summation_by_parts_suite(seed + 3),
-        truncation_suite(variant="L1", step_filter=step_filter),
-        truncation_suite(variant="FIDR", step_filter=step_filter),
+        truncation_suite(variant="l1", step_filter=step_filter),
+        truncation_suite(variant="fidr", step_filter=step_filter),
         gl_stability_suite(seed + 4),
     ]
     return {

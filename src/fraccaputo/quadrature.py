@@ -72,6 +72,16 @@ def _check_n(n: int) -> None:
         raise ValueError(f"rule size capped at {MAX_NODES}, got n={n}")
 
 
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, family: str):
+    """Nodes x and first-component weights vec[0]**2 of the Jacobi matrix
+    with diagonal ``diag`` and off-diagonal ``off`` (n = 1 included)."""
+    try:
+        x, vec = eigh_tridiagonal(diag, off)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConstructionError(f"{family} eigen solve failed for n={len(diag)}") from exc
+    return x, vec[0] ** 2
+
+
 def gauss_legendre(n: int, lo: float, hi: float) -> QuadRule:
     """n-point Gauss-Legendre rule on [lo, hi].
 
@@ -87,17 +97,9 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadRule:
     _check_n(n)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if n == 1:
-        x = np.array([0.0])
-        w = np.array([2.0])
-    else:
-        k = np.arange(1.0, n)
-        off = k / np.sqrt(4.0 * k * k - 1.0)
-        try:
-            x, vec = eigh_tridiagonal(np.zeros(n), off)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise ConstructionError(f"Legendre eigen solve failed for n={n}") from exc
-        w = 2.0 * vec[0] ** 2
+    k = np.arange(1.0, n)
+    x, v0sq = _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), "Legendre")
+    w = 2.0 * v0sq
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return QuadRule(mid + half * x, half * w, (lo, hi), 0.0)
 
@@ -129,20 +131,12 @@ def gauss_jacobi_power(n: int, gamma: float, a: float) -> QuadRule:
         raise ValueError(f"weight exponent must lie in (-1, 1), got {gamma}")
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
+    k = np.arange(1.0, n)
     diag = np.empty(n)
     diag[0] = gamma / (gamma + 2.0)
-    if n == 1:
-        x = diag.copy()
-        v0sq = np.array([1.0])
-    else:
-        k = np.arange(1.0, n)
-        diag[1:] = gamma * gamma / ((2.0 * k + gamma) * (2.0 * k + gamma + 2.0))
-        off = 2.0 * k * (k + gamma) / ((2.0 * k + gamma) * np.sqrt((2.0 * k + gamma) ** 2 - 1.0))
-        try:
-            x, vec = eigh_tridiagonal(diag, off)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise ConstructionError(f"Jacobi eigen solve failed for n={n}") from exc
-        v0sq = vec[0] ** 2
+    diag[1:] = gamma * gamma / ((2.0 * k + gamma) * (2.0 * k + gamma + 2.0))
+    off = 2.0 * k * (k + gamma) / ((2.0 * k + gamma) * np.sqrt((2.0 * k + gamma) ** 2 - 1.0))
+    x, v0sq = _golub_welsch(diag, off, "Jacobi")
     nodes = a * (1.0 + x) / 2.0
     weights = a ** (gamma + 1.0) / (gamma + 1.0) * v0sq
     return QuadRule(nodes, weights, (0.0, a), gamma)

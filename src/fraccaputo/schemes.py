@@ -124,10 +124,13 @@ def _check_order(alpha: float) -> None:
 
 
 def _samples(u, dtype=None) -> np.ndarray:
-    """A copy of u, a scalar or 1-D field, as ``dtype``: by default float, or complex as u is."""
+    """A copy of u, a scalar or 1-D field, as ``dtype``: by default float, or
+    complex as u is.  A complex u is rejected where ``dtype`` is float."""
     u = np.asarray(u)
     if u.ndim > 1:
         raise ValueError(f"samples are scalars or 1-D fields, not of shape {u.shape}")
+    if dtype is float and u.dtype.kind == "c":
+        raise ValueError("this rule takes real samples, not complex ones")
     return u.astype(dtype or np.result_type(u, float))
 
 
@@ -157,7 +160,8 @@ def kernel_order(scheme: str, alpha: float) -> float:
 
 
 class FastHistory(_Evaluator):
-    """fir or fidr on the modes of a compressed kernel; anchor u^{n-1}.
+    """fir or fidr on the modes of a compressed kernel, over real samples
+    (a complex one is a ``ValueError``); anchor u^{n-1}.
     ``push(u^n)`` advances modes <- decay*modes + c1*u^n + c2*u^{n-1} (the
     coefficients of ``mode_step_coeffs``), zero at step 1; fir adds the
     boundary terms of its integration by parts, which use u^0."""
@@ -195,7 +199,7 @@ class FastHistory(_Evaluator):
         return hist / self.g1
 
     def push(self, u) -> None:
-        u = np.array(u, dtype=float)
+        u = _samples(u, float)
         self.modes *= self.decay
         self.modes += self.c1 * u
         self.modes += self.c2 * self.anchor

@@ -85,18 +85,21 @@ class SoEApproximation:
     horizon: float
     nodes: np.ndarray
     weights: np.ndarray
-    n_modes: int
     bound: float
 
     def __post_init__(self) -> None:
         if not 0 < self.delta < self.horizon:
             raise ValueError("need 0 < delta < horizon")
-        if self.n_modes != len(self.nodes) or self.n_modes != len(self.weights):
-            raise ConstructionError("mode count does not match node/weight arrays")
+        if len(self.nodes) != len(self.weights):
+            raise ConstructionError("node and weight arrays differ in length")
         if not (np.all(self.nodes > 0) and np.all(np.diff(self.nodes) > 0)):
             raise ConstructionError("decay rates must be positive and increasing")
         if not np.all(self.weights > 0):
             raise ConstructionError("mode weights must be positive")
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.nodes)
 
 
 def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> SoEApproximation:
@@ -126,7 +129,7 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
         raise ConstructionError("parameter combination yields zero modes")
     s = np.concatenate(nodes)
     w = np.concatenate(weights)
-    return SoEApproximation(beta, delta, horizon, s, w, len(s), eps)
+    return SoEApproximation(beta, delta, horizon, s, w, eps)
 
 
 def soe_eval(soe: SoEApproximation, t):

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own quadrature and scheme code:
 adaptive Simpson for smooth integrands, a power substitution for
 endpoint singularities, and a graded-mesh trapezoid rule for the
-fractional convolution integral.
+fractional convolution integral.  ``fit_rate`` fits the convergence
+rates that the acceptance criteria read.
 """
 import math
 
@@ -57,3 +58,16 @@ def fidr_expanded_weights(soe, dt, n):
     base = soe.weights * -np.expm1(-x) / x
     l = np.arange(n, dtype=float)
     return np.exp(-np.multiply.outer(l, x)) @ base
+
+
+def fit_rate(points):
+    """Ordinary least squares on (log dt, log err): (slope, intercept,
+    rejected), with the (dt, err) points of non-positive error, which cannot
+    be fit, in ``rejected``.  Needs at least 3 usable points."""
+    pts = sorted(((float(dt), float(e)) for dt, e in points), key=lambda p: -p[0])
+    rejected = tuple(p for p in pts if p[1] <= 0.0)
+    pts = [p for p in pts if p[1] > 0.0]
+    if len(pts) < 3:
+        raise ValueError("need at least 3 positive-error points to fit a rate")
+    slope, intercept = np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)
+    return float(slope), float(intercept), rejected

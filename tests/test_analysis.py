@@ -1,63 +1,64 @@
+"""The error analysis: the energy-estimate constants and truncation bound
+of ``property_suite``, and the rate fit that the acceptance criteria use."""
 import math
 
 import numpy as np
 import pytest
 
-from fraccaputo.analysis import fit_rate, theorem_constants, truncation_bound
 from fraccaputo.pde import manufactured_problem
+from fraccaputo.property_suite import theorem_constants, truncation_bound
 from fraccaputo.schemes import caputo_reference, l1_step, l1_weights
+
+from oracles import fit_rate
 
 
 def test_fit_rate_recovers_exact_slopes():
     dts = [0.1, 0.05, 0.025, 0.0125]
-    study = fit_rate([(dt, dt) for dt in dts])
-    assert abs(study.fitted_slope - 1.0) < 1e-12
-    study = fit_rate([(dt, dt ** 2) for dt in dts])
-    assert abs(study.fitted_slope - 2.0) < 1e-12
+    slope, _, _ = fit_rate([(dt, dt) for dt in dts])
+    assert abs(slope - 1.0) < 1e-12
+    slope, _, _ = fit_rate([(dt, dt ** 2) for dt in dts])
+    assert abs(slope - 2.0) < 1e-12
 
 
 def test_fit_rate_scale_invariance():
     dts = [0.1, 0.05, 0.025, 0.0125]
     errs = [3.0 * dt ** 1.4 for dt in dts]
-    base = fit_rate(list(zip(dts, errs)))
+    base_slope, base_intercept, _ = fit_rate(list(zip(dts, errs)))
     for scale in (1e-3, 1.0, 1e3):
-        scaled = fit_rate([(dt, scale * e) for dt, e in zip(dts, errs)])
-        assert abs(scaled.fitted_slope - base.fitted_slope) < 1e-10
-        np.testing.assert_allclose(scaled.intercept, base.intercept + math.log(scale),
-                                   rtol=1e-10)
+        slope, intercept, _ = fit_rate([(dt, scale * e) for dt, e in zip(dts, errs)])
+        assert abs(slope - base_slope) < 1e-10
+        np.testing.assert_allclose(intercept, base_intercept + math.log(scale), rtol=1e-10)
 
 
 def test_fit_rate_rejects_nonpositive_errors():
-    study = fit_rate([(0.1, 0.1), (0.05, 0.05), (0.025, 0.025), (0.0125, -1.0)])
-    assert study.rejected == ((0.0125, -1.0),)
-    assert abs(study.fitted_slope - 1.0) < 1e-12
+    slope, _, rejected = fit_rate([(0.1, 0.1), (0.05, 0.05), (0.025, 0.025), (0.0125, -1.0)])
+    assert rejected == ((0.0125, -1.0),)
+    assert abs(slope - 1.0) < 1e-12
     with pytest.raises(ValueError):
         fit_rate([(0.1, 1.0), (0.05, 0.5)])
 
 
 def test_theorem_constants_vanishing_kernel_error():
     alpha, t_n = 0.3, 1.0
-    fir = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "FIR")
-    np.testing.assert_allclose(fir.mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
-    np.testing.assert_allclose(fir.rho, t_n ** (1.0 - alpha) / math.gamma(2.0 - alpha),
-                               rtol=1e-14)
-    assert fir.mu > 0
-    fidr = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "FIDR")
-    np.testing.assert_allclose(fidr.mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
-    assert fidr.mu > 0
+    mu, rho = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "fir")
+    np.testing.assert_allclose(mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
+    np.testing.assert_allclose(rho, t_n ** (1.0 - alpha) / math.gamma(2.0 - alpha), rtol=1e-14)
+    assert mu > 0
+    mu, _ = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "FIDR")   # any case
+    np.testing.assert_allclose(mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
+    assert mu > 0
 
 
 def test_theorem_constants_fir_plug_in():
-    c = theorem_constants(0.1, 1.0, 0.99, 0.01, 0.1, "FIR")
-    np.testing.assert_allclose(c.mu, (1.0 - 2 * 0.1 * 0.1 * 0.99) / math.gamma(0.9),
-                               rtol=1e-14)
-    assert c.mu > 0
+    mu, _ = theorem_constants(0.1, 1.0, 0.99, 0.01, 0.1, "fir")
+    np.testing.assert_allclose(mu, (1.0 - 2 * 0.1 * 0.1 * 0.99) / math.gamma(0.9), rtol=1e-14)
+    assert mu > 0
 
 
 def test_theorem_constants_inadmissible_flag():
     # eps above t_n**-alpha makes the leading constant negative
-    c = theorem_constants(0.5, 1.0, 0.99, 0.01, 5.0, "FIDR")
-    assert c.mu < 0
+    mu, _ = theorem_constants(0.5, 1.0, 0.99, 0.01, 5.0, "fidr")
+    assert mu < 0
     with pytest.raises(ValueError):
         theorem_constants(0.5, 1.0, 0.9, 0.1, 0.0, "L2")
 
@@ -71,10 +72,10 @@ def test_truncation_bound_plug_in():
 
 
 def test_truncation_bound_variants_agree_without_kernel_error():
-    b_l1 = truncation_bound("L1", 0.3, 0.01, 1.5)
-    b_f = truncation_bound("FIDR", 0.3, 0.01, 1.5, max_u1=2.0, t_prev=0.99, eps0=0.0)
-    assert b_l1 == b_f
-    assert truncation_bound("FIDR", 0.3, 0.01, 1.5, 2.0, 0.99, 1e-3) > b_l1
+    b_l1 = truncation_bound("l1", 0.3, 0.01, 1.5)
+    b_f = truncation_bound("fidr", 0.3, 0.01, 1.5, max_u1=2.0, t_prev=0.99, eps0=0.0)
+    assert b_l1 == b_f == truncation_bound("L1", 0.3, 0.01, 1.5)   # any case
+    assert truncation_bound("fidr", 0.3, 0.01, 1.5, 2.0, 0.99, 1e-3) > b_l1
 
 
 def test_truncation_bound_covers_manufactured_time_slices():

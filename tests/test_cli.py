@@ -129,6 +129,15 @@ def test_tiny_order_is_a_validation_error(tmp_path, capsys, alpha):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+def test_soe_error_needs_two_samples(tmp_path, capsys):
+    """Each curve is soe_max_error's, which samples at least 2 points."""
+    code, text = run_cli(tmp_path, "soe-error", "--samples", "1")
+    assert code == 2 and text == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    code, text = run_cli(tmp_path, "soe-error", "--samples", "2")
+    assert code == 0 and len(parse_csv(text)[2]) == 2
+
+
 def test_step_too_long_for_grid_is_a_validation_error(tmp_path, capsys):
     """At dt = 1e12 the time term dt**-a / Gamma(2-a) is lost beside 2/h**2,
     so the matrix is not provably nonsingular: bad input (2), not a traceback."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraccaputo.analysis import truncation_bound
+from fraccaputo.property_suite import truncation_bound
 from fraccaputo.schemes import (
     ReferenceError,
     TimeGrid,
@@ -239,7 +239,7 @@ def test_fidr_expanded_coefficients_cross_check():
 
 
 def test_expanded_weights_small_rate_limit():
-    soe = SoEApproximation(0.5, 1e-3, 1.0, np.array([1e-8]), np.array([1.0]), 1, 1.0)
+    soe = SoEApproximation(0.5, 1e-3, 1.0, np.array([1e-8]), np.array([1.0]), 1.0)
     a = fidr_expanded_weights(soe, 0.01, 6)
     np.testing.assert_allclose(a, 1.0, atol=1e-9)
 
@@ -421,3 +421,20 @@ def test_history_state_validation():
     for scheme in ("l1", "gl", "fir", "fidr"):   # samples are scalars or 1-D fields
         with pytest.raises(ValueError):
             new_history(scheme, 0.5, 0.1, np.zeros((2, 3)), n_modes=4)
+
+
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_fast_rules_reject_complex_samples(scheme):
+    """The fast rules' modes are real: a complex u^0 or sample is a
+    ValueError, not a value with its imaginary part dropped."""
+    soe = build_soe(kernel_order(scheme, 0.5), SoEParams(3, 10, 4, 3), 0.01, 1.0)
+    with pytest.raises(ValueError, match="real samples"):
+        new_history(scheme, 0.5, 0.01, np.complex128(1 + 1j), n_modes=soe.n_modes)
+    state = new_history(scheme, 0.5, 0.01, 1.0, n_modes=soe.n_modes)
+    step = fir_step if scheme == "fir" else fidr_step
+    for sample in (np.complex128(2 + 2j), 2 + 2j, np.array([1.0, 2j])):
+        with pytest.raises(ValueError, match="real samples"):
+            step(state, soe, sample)
+    assert state.step_index == 0
+    step(state, soe, 2.0)
+    assert state.step_index == 1

@@ -57,7 +57,7 @@ def test_unit_value_within_bound():
 
 
 def test_eval_single_mode_arithmetic():
-    soe = SoEApproximation(1.5, 1e-3, 1.0, np.array([1.0]), np.array([2.0]), 1, 1.0)
+    soe = SoEApproximation(1.5, 1e-3, 1.0, np.array([1.0]), np.array([2.0]), 1.0)
     np.testing.assert_allclose(soe_eval(soe, 0.5), 2.0 * math.exp(-0.5), rtol=1e-15)
 
 
@@ -250,4 +250,4 @@ def test_nodes_positive_increasing():
 
 def test_mode_count_mismatch_detected():
     with pytest.raises(ConstructionError):
-        SoEApproximation(1.1, 1e-2, 1.0, np.array([1.0, 2.0]), np.array([1.0]), 2, 0.0)
+        SoEApproximation(1.1, 1e-2, 1.0, np.array([1.0, 2.0]), np.array([1.0]), 0.0)
