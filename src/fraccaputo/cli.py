@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
+from .pde import SCHEMES, SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
 from .quadrature import ConstructionError
 from .schemes import TimeGrid, kernel_order
@@ -77,28 +77,18 @@ def _csv(config: dict, header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cfg(args, key):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if args.config_data and key in args.config_data:
-        return args.config_data[key]
-    return DEFAULTS[key]
-
-
 def _soe_params(args) -> SoEParams:
-    if getattr(args, "modes", None) is not None:
-        try:
-            a, b, n1, n2 = MODE_TABLE[args.modes]
-        except KeyError:
-            raise ValueError(
-                f"no ladder preset for N={args.modes}; pass --soe-a/b/n1/n2 instead"
-            ) from None
-        return SoEParams.from_ladder(a, b, n1, n2)
-    return SoEParams.from_ladder(
-        int(_cfg(args, "soe_a")), int(_cfg(args, "soe_b")),
-        int(_cfg(args, "soe_n1")), int(_cfg(args, "soe_n2")),
-    )
+    if args.modes is None:
+        return SoEParams(args.soe_a, args.soe_b, args.soe_n1, args.soe_n2)
+    if args.modes not in MODE_TABLE:
+        raise ValueError(f"no ladder preset for N={args.modes}; pass --soe-a/b/n1/n2 instead")
+    return SoEParams(*MODE_TABLE[args.modes])
+
+
+def _run(problem, scheme: str, params, dt: float, h: float, T: float):
+    """One solve of ``problem`` up to time T with step dt and spacing about h."""
+    return solve(problem, TimeGrid(dt, round(T / dt)),
+                 SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h), scheme, params)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +112,8 @@ def cmd_tail_table(args) -> int:
 
 def cmd_soe_error(args) -> int:
     """Kernel-compression error curves of both fast schemes on [1e-3, 1]."""
-    alpha = float(_cfg(args, "alpha"))
+    alpha, n_samples = args.alpha, args.samples
     params = _soe_params(args)
-    n_samples = int(_cfg(args, "samples"))
     delta, horizon = 1e-3, 1.0
     # both curves are (t, error) rows on the same times; fir's is scaled by alpha
     fir, fidr = (soe_max_error(build_soe(kernel_order(s, alpha), params, delta, horizon),
@@ -141,12 +130,8 @@ def _one_convergence_run(task) -> tuple:
     """(related error, status) of one manufactured run; a failure is a row."""
     scheme, n_modes, dt, alpha, h, T = task
     try:
-        problem = manufactured_problem(alpha)
-        tgrid = TimeGrid(dt, round(T / dt))
-        sgrid = SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h)
-        params = (SoEParams.from_ladder(*MODE_TABLE[n_modes])
-                  if scheme in ("fir", "fidr") else None)
-        return solve(problem, tgrid, sgrid, scheme, params).related_error, "ok"
+        params = SoEParams(*MODE_TABLE[n_modes]) if scheme != "gl" else None
+        return _run(manufactured_problem(alpha), scheme, params, dt, h, T).related_error, "ok"
     except Exception as exc:
         return math.nan, f"failed: {exc}"
 
@@ -154,12 +139,8 @@ def _one_convergence_run(task) -> tuple:
 def cmd_convergence(args) -> int:
     """Related error versus dt for the fast schemes (N in {9, 25}) and the
     binomial baseline, halving dt ``levels`` times from the starting value."""
-    alpha = float(_cfg(args, "alpha"))
-    h = float(_cfg(args, "h"))
-    T = float(_cfg(args, "T"))
-    dt0 = float(_cfg(args, "dt"))
-    levels = int(_cfg(args, "levels"))
-    dts = [dt0 * 0.5 ** k for k in range(levels)]
+    alpha, h, T = args.alpha, args.h, args.T
+    dts = [args.dt * 0.5 ** k for k in range(args.levels)]
     # one row per (scheme, mode count, dt); the storage-hungry baseline
     # ignores the mode count, so it runs once per dt and fills both rows
     runs = [(scheme, n_modes, dt, alpha, h, T) for scheme in ("fidr", "fir", "gl")
@@ -181,23 +162,15 @@ def cmd_convergence(args) -> int:
 
 def cmd_solve(args) -> int:
     """One full run, reported as JSON."""
-    alpha = float(_cfg(args, "alpha"))
-    dt = float(_cfg(args, "dt"))
-    h = float(_cfg(args, "h"))
-    T = float(_cfg(args, "T"))
-    scheme = str(_cfg(args, "scheme")).lower()
-    problem_name = str(_cfg(args, "problem"))
-    if problem_name == "manufactured":
-        problem = manufactured_problem(alpha)
-    elif problem_name == "nonlinear":
-        problem = nonlinear_problem(alpha, float(_cfg(args, "x_lo")), float(_cfg(args, "x_hi")))
+    if args.problem == "manufactured":
+        problem = manufactured_problem(args.alpha)
+    elif args.problem == "nonlinear":
+        problem = nonlinear_problem(args.alpha, args.x_lo, args.x_hi)
     else:
-        raise ValueError(f"unknown problem {problem_name!r}")
-    tgrid = TimeGrid(dt, round(T / dt))
-    sgrid = SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h)
-    params = _soe_params(args) if scheme in ("fir", "fidr") else None
-    report = solve(problem, tgrid, sgrid, scheme, params)
-    payload = {"command": "solve", "alpha": alpha, "problem": problem_name}
+        raise ValueError(f"unknown problem {args.problem!r}")
+    params = _soe_params(args) if args.scheme.lower() in ("fir", "fidr") else None
+    report = _run(problem, args.scheme, params, args.dt, args.h, args.T)
+    payload = {"command": "solve", "alpha": args.alpha, "problem": args.problem}
     payload.update(report.to_dict(include_snapshots=args.snapshots))
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -205,8 +178,7 @@ def cmd_solve(args) -> int:
 
 def cmd_property_suite(args) -> int:
     """Seeded inequality suites; nonzero exit when any suite fails."""
-    seed = int(_cfg(args, "seed"))
-    ledger = run_property_suite(seed, quick=args.quick)
+    ledger = run_property_suite(args.seed, quick=args.quick)
     _write_text(args.out, json.dumps(ledger, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if ledger["all_pass"] else EXIT_PROPERTY
 
@@ -262,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--T", type=float, default=None)
-    p.add_argument("--scheme", choices=("l1", "fir", "fidr", "gl"), default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--problem", choices=("manufactured", "nonlinear"), default=None)
     p.add_argument("--x-lo", type=float, default=None)
     p.add_argument("--x-hi", type=float, default=None)
@@ -279,17 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.config_data = None
+    args = build_parser().parse_args(argv)
+    config = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                args.config_data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("the config file must hold one JSON object")
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
             return EXIT_VALIDATION
     try:
+        # a setting the subcommand takes and no flag gave comes from the
+        # config file, else from DEFAULTS, as the default's type
+        for key, default in DEFAULTS.items():
+            if getattr(args, key, default) is None:
+                setattr(args, key, type(default)(config.get(key, default)))
         return args.func(args)
     except ValueError as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)

@@ -9,8 +9,8 @@ The problem solved is
 discretized implicitly in space: at every step all history-mode and
 source contributions are known, so the update is one tridiagonal solve.
 The time operator D is pluggable (l1, fir, fidr, gl); the boundary rows
-carry their own order-a/2 evaluators.  Reaction sources f(u) are lagged
-one step, so no Newton iteration is needed.
+carry their own order-a/2 evaluators.  The source f(x, t, u) sees the
+field lagged one step, so a reaction term needs no Newton iteration.
 """
 from __future__ import annotations
 
@@ -68,22 +68,19 @@ class SpaceGrid:
 class DiffusionProblem:
     """Problem data: order, domain, initial data, source, optional exact.
 
-    ``source_kind`` is "linear" for f(x, t) known in closed form and
-    "reaction" for f(u) evaluated on the lagged field.
+    ``source(x, t_n, u)`` is the forcing at step n, given the grid points,
+    the step's time and the field of step n - 1.
     """
 
     alpha: float
     x_lo: float
     x_hi: float
     initial: Callable[[np.ndarray], np.ndarray]
-    source_kind: str
-    source: Callable
+    source: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         _check_order(self.alpha)
-        if self.source_kind not in ("linear", "reaction"):
-            raise ValueError(f"unknown source kind {self.source_kind!r}")
 
 
 @dataclass
@@ -180,17 +177,13 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
 
     err_sq_sum = 0.0
     exact_sq_sum = 0.0
-    u_prev = u0.copy()
+    u = u0.copy()
     t_start = time.perf_counter()
     for n in range(1, n_steps + 1):
         t_n = n * dt
         r = interior.known()
         r_b = boundary.known()
-        if problem.source_kind == "linear":
-            f = np.asarray(problem.source(x, t_n), dtype=float)
-        else:
-            f = np.asarray(problem.source(u_prev), dtype=float)
-        rhs = f - r
+        rhs = np.asarray(problem.source(x, t_n, u), dtype=float) - r
         rhs[0] -= (2.0 / h) * r_b[0]
         rhs[-1] -= (2.0 / h) * r_b[1]
         # the finiteness check below replaces scipy's input check, so a
@@ -206,7 +199,6 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
             exact_sq_sum += ex_sq
         if n % snapshot_stride == 0 or n == n_steps:
             snapshots.append((t_n, u.copy()))
-        u_prev = u
     wall = time.perf_counter() - t_start
 
     g_err = rel_err = None
@@ -250,7 +242,7 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
     def exact(x, t):
         return x ** 4 * (pi - x) ** 4 * (np.exp(-x) * t ** (3.0 + alpha) + 1.0)
 
-    def source(x, t):
+    def source(x, t, u):
         ex = np.exp(-x)
         poly = (
             x ** 2 * (56.0 - 16.0 * x + x ** 2)
@@ -262,7 +254,7 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
             + 4.0 * (3.0 * pi ** 2 - 14.0 * pi * x + 14.0 * x ** 2)
         )
 
-    return DiffusionProblem(alpha, 0.0, pi, initial, "linear", source, exact)
+    return DiffusionProblem(alpha, 0.0, pi, initial, source, exact)
 
 
 def nonlinear_problem(alpha: float, x_lo: float = -1.0, x_hi: float = 1.0) -> DiffusionProblem:
@@ -275,10 +267,10 @@ def nonlinear_problem(alpha: float, x_lo: float = -1.0, x_hi: float = 1.0) -> Di
     def initial(x):
         return np.exp(-10.0 * (x - 0.5) ** 2) + np.exp(-10.0 * (x + 0.5) ** 2)
 
-    def source(u):
+    def source(x, t, u):
         return -u * (1.0 - u)
 
-    return DiffusionProblem(alpha, x_lo, x_hi, initial, "reaction", source, None)
+    return DiffusionProblem(alpha, x_lo, x_hi, initial, source, None)
 
 
 # ---------------------------------------------------------------------------

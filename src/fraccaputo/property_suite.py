@@ -93,15 +93,14 @@ def _run(scheme: str, alpha: float, g: np.ndarray, dt: float, soe=None) -> np.nd
     return np.array([ev.step(u) for u in g[1:]])
 
 
-def _coercivity(scheme: str, seed: int, params: SoEParams | None) -> dict:
+def _coercivity(scheme: str, seed: int) -> dict:
     """dt * sum_k (D g^k) g^k >= mu/2 * dt * sum (g^k)^2 - rho * (g^0)^2 on
     100 random mesh functions g of 20 steps, dt = 0.05, order 0.3, with D
     the fast rule ``scheme`` on a kernel built at delta = dt, and mu, rho
     the constants of ``theorem_constants`` under its certified bound."""
     name, alpha, dt, n_steps = f"{scheme}_coercivity", 0.3, 0.05, 20
     t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
-    soe = build_soe(kernel_order(scheme, alpha), params or SoEParams.from_ladder(0, 12, 6, 10),
-                    dt, t_n)
+    soe = build_soe(kernel_order(scheme, alpha), SoEParams(0, 12, 6, 10), dt, t_n)
     eps = soe.bound
     eps_entry = {"eps" if scheme == "fir" else "eps0": eps}
     mu, rho = theorem_constants(alpha, t_n, t_prev, dt, eps, scheme)
@@ -123,7 +122,7 @@ def _coercivity(scheme: str, seed: int, params: SoEParams | None) -> dict:
     return _verdict(name, _N_FUNCS, violations, **eps_entry)
 
 
-def fir_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
+def fir_coercivity_suite(seed: int) -> dict:
     """Quadratic-form lower bound of the integrated-by-parts fast rule.
 
     dt * sum_k (D g^k) g^k >= (t_n^-a - 2 a eps t_{n-1})/(2 G(1-a)) * dt * sum (g^k)^2
@@ -132,10 +131,10 @@ def fir_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
     mu/2 and rho of ``theorem_constants``.  Skipped as inadmissible when
     the leading constant is not positive.
     """
-    return _coercivity("fir", seed, params)
+    return _coercivity("fir", seed)
 
 
-def fidr_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
+def fidr_coercivity_suite(seed: int) -> dict:
     """Quadratic-form lower bound of the increment-based fast rule.
 
     dt * sum_k (D g^k) g^k >= dt (t_n^-a - eps0)/(2 G(1-a)) * sum (g^k)^2
@@ -146,7 +145,7 @@ def fidr_coercivity_suite(seed: int, params: SoEParams | None = None) -> dict:
     eps0 >= t_n^-a or when eps0 exceeds the slack a/((1-a) dt^a) that caps
     the leading unrolled coefficient.
     """
-    return _coercivity("fidr", seed, params)
+    return _coercivity("fidr", seed)
 
 
 def mesh_sobolev_suite(seed: int) -> dict:
@@ -208,7 +207,7 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     violations = []
     checked = 0
     for alpha in (0.1, 0.5, 0.9):
-        soe = (build_soe(alpha, SoEParams.from_ladder(0, 15, 8, 6), dt, n_max * dt)
+        soe = (build_soe(alpha, SoEParams(0, 15, 8, 6), dt, n_max * dt)
                if scheme == "fidr" else None)
         for u, m2, ref in (
             (t ** 2, 2.0, lambda n: caputo_reference("power", alpha, t[n], sigma=2.0)),

@@ -150,7 +150,7 @@ def test_step_too_long_for_grid_is_a_validation_error(tmp_path, capsys):
 def test_solve_blowup_exit_code(tmp_path, monkeypatch):
     """A run whose field overflows is a numerical failure (4), not bad input (2)."""
     monkeypatch.setattr(cli, "nonlinear_problem", lambda alpha, x_lo, x_hi: DiffusionProblem(
-        alpha, x_lo, x_hi, lambda x: np.full_like(x, 5.0), "reaction", lambda u: u ** 2))
+        alpha, x_lo, x_hi, lambda x: np.full_like(x, 5.0), lambda x, t, u: u ** 2))
     with np.errstate(over="ignore", invalid="ignore"):
         code, _ = run_cli(tmp_path, "solve", "--problem", "nonlinear", "--alpha", "0.5",
                           "--dt", "0.1", "--T", "2", "--h", "0.025", "--x-lo", "0",
@@ -175,7 +175,7 @@ def test_property_suite_exit_and_ledger(tmp_path):
             "truncation_l1", "truncation_fidr", "gl_stability"} <= names
 
 
-def test_config_file_with_flag_override(tmp_path):
+def test_config_file_with_flag_override(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.5, "samples": 40}))
     code, text = run_cli(tmp_path, "soe-error", "--config", str(cfg))
@@ -186,6 +186,25 @@ def test_config_file_with_flag_override(tmp_path):
                          "--alpha", "0.2", name="b")
     config, _, _ = parse_csv(text)
     assert config["alpha"] == 0.2
+    # the file gives settings only: the output path and the worker count
+    # come from their flags alone
+    elsewhere = tmp_path / "elsewhere"
+    cfg.write_text(json.dumps({"samples": 40, "jobs": 2, "out": str(elsewhere)}))
+    assert main(["soe-error", "--config", str(cfg)]) == 0
+    assert len(parse_csv(capsys.readouterr().out)[2]) == 40 and not elsewhere.exists()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # a worker pool would raise
+    assert main(["convergence", "--config", str(cfg), "--dt", "0.5", "--h", "0.5",
+                 "--levels", "1"]) == 0
+    assert not elsewhere.exists()
+
+
+@pytest.mark.parametrize("text", ["{", "[1]", "5"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _ = run_cli(tmp_path, "tail-table", "--config", str(cfg))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_jobs_parallel_sweep_matches_serial(tmp_path):

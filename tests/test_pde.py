@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ TIGHT = SoEParams.from_ladder(0, 14, 8, 25)
 
 def zero_problem(alpha=0.4):
     return DiffusionProblem(alpha, 0.0, 1.0, lambda x: np.zeros_like(x),
-                            "linear", lambda x, t: np.zeros_like(x),
+                            lambda x, t, u: np.zeros_like(x),
                             exact=lambda x, t: np.zeros_like(x))
 
 
@@ -42,7 +43,7 @@ def test_zero_data_gives_zero_solution(scheme, params):
 def test_blowup_raises_numerical_error():
     """Reaction u**2 from u0 = 5 overflows within a few steps."""
     prob = DiffusionProblem(0.5, 0.0, 1.0, lambda x: np.full_like(x, 5.0),
-                            "reaction", lambda u: u ** 2)
+                            lambda x, t, u: u ** 2)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match="not finite at step"):
         solve(prob, TimeGrid(0.1, 20), SpaceGrid(0.0, 1.0, 40), "fidr", BENCH)
@@ -85,7 +86,7 @@ def test_manufactured_residual_is_zero():
         t = float(rng.uniform(0.05, 1.0))
         d_t = g_np(x) * math.exp(-x) * caputo_reference("power", alpha, t, sigma=3.0 + alpha)
         u_xx = uxx_t(x) * t ** (3.0 + alpha) + uxx_0(x)
-        f = prob.source(np.array([x]), t)[0]
+        f = prob.source(np.array([x]), t, None)[0]
         resid = d_t - u_xx - f
         scale = max(abs(d_t), abs(u_xx), abs(f), 1.0)
         assert abs(resid) <= 1e-8 * scale
@@ -151,12 +152,32 @@ def test_scheme_equivalence_coarse_grid():
     assert np.max(np.abs(u_fidr - u_l1)) <= 1e-8
 
 
+def test_source_sees_step_time_and_lagged_field():
+    """solve calls source(x, n dt, u^(n-1)) once per step n, with u^0 at step 1."""
+    prob = manufactured_problem(0.5)
+    calls = []
+
+    def source(x, t, u):
+        calls.append((x.copy(), t, u.copy()))
+        return prob.source(x, t, u)
+
+    tg, sg = TimeGrid(0.1, 5), SpaceGrid(0.0, PI, 16)
+    rep = solve(dataclasses.replace(prob, source=source), tg, sg, "fidr", BENCH,
+                snapshot_stride=1)
+    assert len(calls) == tg.n_steps
+    for n, (x, t, u) in enumerate(calls, start=1):
+        np.testing.assert_array_equal(x, sg.points())
+        assert t == n * tg.dt
+        np.testing.assert_array_equal(u, rep.snapshots[n - 1][1])
+    np.testing.assert_array_equal(calls[0][2], prob.initial(sg.points()))
+
+
 def test_nonlinear_problem_data():
     prob = nonlinear_problem(0.5)
     np.testing.assert_allclose(prob.initial(np.array([0.5]))[0], 1.0 + math.exp(-10.0),
                                rtol=1e-12)
-    assert prob.source(np.array([0.0]))[0] == 0.0
-    assert prob.source(np.array([1.0]))[0] == 0.0
+    assert prob.source(None, None, np.array([0.0]))[0] == 0.0
+    assert prob.source(None, None, np.array([1.0]))[0] == 0.0
     assert prob.exact is None
     assert (prob.x_lo, prob.x_hi) == (-1.0, 1.0)
     custom = nonlinear_problem(0.5, 0.0, PI)
@@ -213,8 +234,8 @@ def test_solve_validation():
         solve(prob, tg, SpaceGrid(0.0, 1.0, 10), "l1")  # domain mismatch
     with pytest.raises(ValueError):
         solve(prob, tg, sg, "spectral")
-    bad = DiffusionProblem(0.3, 0.0, 1.0, lambda x: np.ones_like(x), "linear",
-                           lambda x, t: np.zeros_like(x),
+    bad = DiffusionProblem(0.3, 0.0, 1.0, lambda x: np.ones_like(x),
+                           lambda x, t, u: np.zeros_like(x),
                            exact=lambda x, t: np.zeros_like(x))
     with pytest.raises(ValueError):
         solve(bad, tg, SpaceGrid(0.0, 1.0, 10), "l1")   # exact(x,0) != initial

@@ -1,5 +1,6 @@
 import pytest
 
+from fraccaputo import property_suite
 from fraccaputo.property_suite import (
     fidr_coercivity_suite,
     fir_coercivity_suite,
@@ -9,7 +10,7 @@ from fraccaputo.property_suite import (
     summation_by_parts_suite,
     truncation_suite,
 )
-from fraccaputo.soe import SoEParams
+from fraccaputo.soe import SoEParams, build_soe
 
 
 def test_fir_coercivity_passes():
@@ -26,10 +27,12 @@ def test_fidr_coercivity_passes():
 
 @pytest.mark.parametrize("suite,key", [(fidr_coercivity_suite, "eps0"),
                                        (fir_coercivity_suite, "eps")], ids=["fidr", "fir"])
-def test_coercivity_inadmissible_gate(suite, key):
+def test_coercivity_inadmissible_gate(suite, key, monkeypatch):
     # a 3-mode kernel certifies eps0 = 2.92 (fidr) and eps = 59.2 (fir), both
     # too large for a positive leading constant: vacuous bound, skipped not failed
-    res = suite(seed=1, params=SoEParams.from_ladder(0, 2, 1, 1))
+    monkeypatch.setattr(property_suite, "build_soe", lambda beta, params, delta, horizon:
+                        build_soe(beta, SoEParams(0, 2, 1, 1), delta, horizon))
+    res = suite(seed=1)
     assert res["status"] == "inadmissible"
     assert res["checked"] == 0
     assert res[key] > 1.0
