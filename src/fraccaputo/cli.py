@@ -53,6 +53,13 @@ DEFAULTS = {
     "x_hi": 1.0,
 }
 
+#: the settings whose flags take one of a fixed set of values; a value
+#: from the config file must be one of them too
+CHOICES = {
+    "scheme": SCHEMES,
+    "problem": ("manufactured", "nonlinear"),
+}
+
 
 def _fmt(v: float) -> str:
     return f"{v:.5e}"
@@ -164,11 +171,10 @@ def cmd_solve(args) -> int:
     """One full run, reported as JSON."""
     if args.problem == "manufactured":
         problem = manufactured_problem(args.alpha)
-    elif args.problem == "nonlinear":
-        problem = nonlinear_problem(args.alpha, args.x_lo, args.x_hi)
     else:
-        raise ValueError(f"unknown problem {args.problem!r}")
-    params = _soe_params(args) if args.scheme.lower() in ("fir", "fidr") else None
+        problem = nonlinear_problem(args.alpha, args.x_lo, args.x_hi)
+    # the kernel flags are checked for every scheme; l1 and gl ignore them
+    params = _soe_params(args)
     report = _run(problem, args.scheme, params, args.dt, args.h, args.T)
     payload = {"command": "solve", "alpha": args.alpha, "problem": args.problem}
     payload.update(report.to_dict(include_snapshots=args.snapshots))
@@ -234,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--T", type=float, default=None)
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("--problem", choices=("manufactured", "nonlinear"), default=None)
+    p.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
+    p.add_argument("--problem", choices=CHOICES["problem"], default=None)
     p.add_argument("--x-lo", type=float, default=None)
     p.add_argument("--x-hi", type=float, default=None)
     p.add_argument("--snapshots", action="store_true", help="embed field snapshots")
@@ -264,10 +270,14 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
     try:
         # a setting the subcommand takes and no flag gave comes from the
-        # config file, else from DEFAULTS, as the default's type
+        # config file, else from DEFAULTS, as the default's type, and obeys
+        # the flag's choices
         for key, default in DEFAULTS.items():
             if getattr(args, key, default) is None:
-                setattr(args, key, type(default)(config.get(key, default)))
+                value = type(default)(config.get(key, default))
+                if key in CHOICES and value not in CHOICES[key]:
+                    raise ValueError(f"{key} {value!r} is not one of {CHOICES[key]}")
+                setattr(args, key, value)
         return args.func(args)
     except ValueError as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)

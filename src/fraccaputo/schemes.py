@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .quadrature import gauss_jacobi_power
 from .soe import SoEApproximation
@@ -102,8 +103,8 @@ def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
     """Per-mode (decay, c1, c2) of modes <- decay*modes + c1*u^n + c2*u^{n-1},
     the recurrence of ``FastHistory.push(u^n)``, the only mutator of modes.
 
-    Both fast rules share this algebraic shape, and push applies them
-    identically, which keeps their per-step cost the same.
+    Both fast rules share this algebraic shape; fidr has c2 = -c1, so its
+    update needs only the increment u^n - u^{n-1}.
     """
     x = nodes * dt
     decay = np.exp(-x)
@@ -164,7 +165,13 @@ class FastHistory(_Evaluator):
     (a complex one is a ``ValueError``); anchor u^{n-1}.
     ``push(u^n)`` advances modes <- decay*modes + c1*u^n + c2*u^{n-1} (the
     coefficients of ``mode_step_coeffs``), zero at step 1; fir adds the
-    boundary terms of its integration by parts, which use u^0."""
+    boundary terms of its integration by parts, which use u^0.
+
+    On a field, push scales the modes in place and then makes one BLAS
+    rank update of their (points x modes) Fortran view: rank 2 against
+    [u^n, u^{n-1}] for fir, rank 1 against the increment u^n - u^{n-1} for
+    fidr, so a constant field leaves fidr's modes exactly 0.  A stream
+    applies the three terms in numpy."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         _check_order(alpha)
@@ -185,24 +192,37 @@ class FastHistory(_Evaluator):
         if not math.isclose(soe.beta, self.beta, rel_tol=1e-12):
             raise ValueError(f"{self.scheme} of order {self.alpha} needs a kernel of "
                              f"order {self.beta}, got {soe.beta}")
-        per_mode = (-1,) + (1,) * self.u0.ndim
-        self.decay, self.c1, self.c2 = (
-            c.reshape(per_mode) for c in mode_step_coeffs(self.scheme, soe.nodes, self.dt))
+        decay, c1, c2 = mode_step_coeffs(self.scheme, soe.nodes, self.dt)
+        self.decay = decay.reshape((-1,) + (1,) * self.u0.ndim)
+        self.c1, self.c2 = c1, c2
+        # the (rank x modes) coefficient block of a field's rank update
+        self.rank_coeffs = np.stack([c1, c2]) if self.scheme == "fir" else c1[None, :]
+        # the history term's weights, with 1/Gamma(1-alpha), and fir's -alpha, folded in
+        self.hist_weights = soe.weights * ((-self.alpha if self.scheme == "fir" else 1.0) / self.g1)
         self.soe = soe
 
     def history_term(self):
-        hist = self.soe.weights @ self.modes
+        hist = self.hist_weights @ self.modes
         if self.scheme == "fir":
-            n = self.step_index + 1
-            hist = (self.anchor / self.dt ** self.alpha - self.u0 / (n * self.dt) ** self.alpha
-                    - self.alpha * hist)
-        return hist / self.g1
+            # the boundary terms of the integration by parts
+            t_n = (self.step_index + 1) * self.dt
+            hist += self.anchor * (self.dt ** -self.alpha / self.g1)
+            hist -= self.u0 * (t_n ** -self.alpha / self.g1)
+        return hist
 
     def push(self, u) -> None:
         u = _samples(u, float)
         self.modes *= self.decay
-        self.modes += self.c1 * u
-        self.modes += self.c2 * self.anchor
+        if u.ndim:
+            block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None, :]
+            # modes.T is Fortran-ordered, so dgemm adds block.T @ rank_coeffs in
+            # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
+            # 100x slower at 3143 points x 25 modes on a 2-core host
+            self.modes = dgemm(1.0, block.T, self.rank_coeffs, beta=1.0, c=self.modes.T,
+                               overwrite_c=1).T
+        else:
+            self.modes += self.c1 * u
+            self.modes += self.c2 * self.anchor
         self.anchor, self.step_index = u, self.step_index + 1
 
 

@@ -71,3 +71,24 @@ def fit_rate(points):
         raise ValueError("need at least 3 positive-error points to fit a rate")
     slope, intercept = np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)
     return float(slope), float(intercept), rejected
+
+
+
+def manufactured_fields(x, t, alpha):
+    """(source, exact, scale) of the manufactured problem
+    u = g (exp(-x) t**(3+alpha) + 1), g = x**4 (pi-x)**4, at time t, by the
+    product rule: D^alpha u = g exp(-x) Gamma(4+alpha)/6 t**3 and
+    u_xx = (g'' - 2 g' + g) exp(-x) t**(3+alpha) + g''.  The terms of the
+    source cancel where it changes sign, so its rounding is relative to
+    ``scale``, the sum of their magnitudes."""
+    p = np.asarray(x, dtype=float)
+    q = math.pi - p
+    g = p ** 4 * q ** 4
+    g1 = 4.0 * p ** 3 * q ** 3 * (q - p)
+    g2_terms = (12.0 * p ** 2 * q ** 4, -32.0 * p ** 3 * q ** 3, 12.0 * p ** 4 * q ** 2)
+    g2, g2_abs = sum(g2_terms), sum(np.abs(g2_terms))
+    ex, tau = np.exp(-p), t ** (3.0 + alpha)
+    d_t = g * ex * math.gamma(4.0 + alpha) / 6.0 * t ** 3
+    u_xx = (g2 - 2.0 * g1 + g) * ex * tau + g2
+    scale = d_t + (g2_abs + 2.0 * np.abs(g1) + g) * ex * tau + g2_abs
+    return d_t - u_xx, g * (ex * tau + 1.0), scale

@@ -3,13 +3,16 @@
 perfbench's traced pass rebinds module attributes of the package
 (``pde.solve_banded``, ``cli.solve``, ``cli.manufactured_problem`` ...)
 from outside, and drops a declared metric when the attribute behind it is
-gone.  This runs one traced ``small-calls`` pass through perfbench's own
+gone.  This runs one traced pass of each workload through perfbench's own
 code, unchanged, so a rename that would leave a benchmark run without
-its declared metrics fails here first.
+its declared metrics, or a layer value that is not a finite number (which
+would print as non-JSON ``NaN``/``Infinity``), fails here first.
 """
 import json
 import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +26,8 @@ STALE = {
 }
 
 
-def test_traced_small_calls_pass_reports_every_declared_layer(monkeypatch):
+@pytest.mark.parametrize("workload", ["small-calls", "manufactured-fast"])
+def test_traced_pass_reports_every_declared_layer(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import spans
     import workloads
@@ -31,7 +35,7 @@ def test_traced_small_calls_pass_reports_every_declared_layer(monkeypatch):
     log, tracer = workloads.PassLog(), spans.Tracer()
     with spans.instrument(tracer):
         t0 = time.perf_counter()
-        workloads.run_pass(workloads.WORKLOADS["small-calls"](1), log)
+        workloads.run_pass(workloads.WORKLOADS[workload](1), log)
         wall_s = time.perf_counter() - t0
     assert log.failed == 0, log.errors
     assert tracer.missing <= STALE
@@ -39,3 +43,6 @@ def test_traced_small_calls_pass_reports_every_declared_layer(monkeypatch):
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     # run.py adds the overhead fraction from untraced passes
     assert declared - {"trace.overhead_frac"} <= set(metrics)
+    json.dumps(metrics, allow_nan=False)  # every layer value is finite
+    # the solver calls the banded solve once per step of every solve
+    assert metrics["pde.banded_calls"][0] == sum(r.tgrid.n_steps for _, r in log.solves) > 0

@@ -119,6 +119,34 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("scheme", ["l1", "gl"])
+@pytest.mark.parametrize("flags", [["--modes", "17"], ["--soe-a", "10", "--soe-b", "3"]])
+def test_direct_schemes_validate_kernel_flags(tmp_path, capsys, monkeypatch, scheme, flags):
+    """A bad mode preset or ladder is bad input for every scheme, not only
+    for the fast ones that read it."""
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved with bad flags"))
+    code, _ = run_cli(tmp_path, "solve", "--scheme", scheme, "--h", "0.1", *flags)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("setting", [{"scheme": "FIR"}, {"problem": "bogus"}])
+def test_config_values_obey_flag_choices(tmp_path, capsys, monkeypatch, setting):
+    """A config value outside its flag's choices is bad input (2) before any
+    solve, as the same value given as a flag is."""
+    (key, value), = setting.items()
+    with pytest.raises(SystemExit) as flag_exit:
+        main(["solve", f"--{key}", value])
+    assert flag_exit.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved a bad config"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    code, _ = run_cli(tmp_path, "solve", "--config", str(cfg), "--h", "0.1")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
 @pytest.mark.parametrize("alpha", ["1e-320", "1e-17"])
 def test_tiny_order_is_a_validation_error(tmp_path, capsys, alpha):
     """Gamma(alpha) overflows at 1e-320 and alpha - 1 rounds to -1 at 1e-17:

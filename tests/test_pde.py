@@ -3,18 +3,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraccaputo.pde import (
     DiffusionProblem,
     SpaceGrid,
     _banded_matrix,
+    _factor,
     _norm_terms,
     manufactured_problem,
     nonlinear_problem,
     solve,
+    solve_banded,
 )
 from fraccaputo.schemes import TimeGrid, caputo_reference
 from fraccaputo.soe import SoEParams
+
+from oracles import manufactured_fields
 
 PI = math.pi
 BENCH = SoEParams.from_ladder(3, 10, 4, 3)
@@ -92,6 +99,35 @@ def test_manufactured_residual_is_zero():
         assert abs(resid) <= 1e-8 * scale
 
 
+# grid points: the walls, or interior points clear of the subnormal range of x**4
+POINT = st.one_of(st.sampled_from([0.0, PI]), st.floats(1e-3, PI - 1e-3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(alpha=st.floats(0.01, 0.99), times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+       grid_a=st.lists(POINT, min_size=1, max_size=30),
+       grid_b=st.lists(POINT, min_size=1, max_size=30), shift=st.floats(1e-3, 1.0))
+def test_manufactured_fields_follow_the_grid(alpha, times, grid_a, grid_b, shift):
+    """source and exact reuse their x-only factors per grid: calls that
+    alternate between two grids, then go on with one grid changed in place,
+    each match the closed form to 1e-13 relative."""
+    prob = manufactured_problem(alpha)
+    x_a, x_b = np.array(grid_a), np.array(grid_b)
+
+    def check(x, t):
+        source, exact, scale = manufactured_fields(x, t, alpha)
+        assert np.all(np.abs(prob.source(x, t, None) - source) <= 1e-13 * scale)
+        assert np.all(np.abs(prob.exact(x, t) - exact) <= 1e-13 * exact)
+
+    for t in times:
+        check(x_a, t)
+        check(x_b, t)
+    for t in times:
+        check(x_a, t)
+        x_a += shift
+        check(x_a, t)
+
+
 def norm_sums(history, exact, tgrid, sgrid):
     """The sums over steps 1..n_steps of the ``_norm_terms`` that ``solve``
     accumulates into its global and related errors."""
@@ -137,6 +173,26 @@ def test_banded_matrix_rows():
     np.testing.assert_allclose(ab[0, 1], -2.0 / h ** 2)
     # diagonal dominance
     assert np.all(ab[1, :] > 2.0 / h ** 2)
+
+
+def test_factored_solve_matches_banded_solve():
+    """One factorization serves every right-hand side, as scipy's banded
+    solve of the same matrix does."""
+    rng = np.random.default_rng(7)
+    ab = _banded_matrix(200, 0.05, 3.0, 2.0)
+    lu = _factor(ab)
+    for _ in range(3):
+        rhs = rng.normal(size=200)
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        np.testing.assert_allclose(solve_banded(lu, rhs.copy()), want,
+                                   rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_singular_step_matrix_is_a_linalg_error():
+    ab = np.zeros((3, 5))
+    ab[1] = [1.0, 1.0, 0.0, 1.0, 1.0]
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _factor(ab)
 
 
 def test_scheme_equivalence_coarse_grid():

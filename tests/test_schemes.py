@@ -153,6 +153,34 @@ def test_constant_path_gives_zero(scheme):
     assert np.all(np.abs(vals) <= tol)
 
 
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_field_rank_update_matches_streams(scheme):
+    """A field's push is one BLAS rank update of the modes, a stream's is
+    numpy arithmetic: the field's values match one stream per point."""
+    alpha, dt = 0.3, 1e-2
+    paths = np.random.default_rng(11).normal(size=(30, 7))  # (steps, points)
+    soe = build_soe(kernel_order(scheme, alpha), SoEParams.from_ladder(0, 10, 4, 4), dt, 1.0)
+    field = new_history(scheme, alpha, dt, paths[0], n_modes=soe.n_modes)
+    field.use_kernel(soe)
+    got = np.array([field.step(u) for u in paths[1:]])
+    want = np.column_stack([run_scheme(scheme.upper(), alpha, paths[:, j], dt, soe=soe)
+                            for j in range(paths.shape[1])])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("points", [2, 50])
+def test_fidr_constant_field_keeps_modes_zero(points):
+    """fidr's field update adds c1 times the increment u^n - u^{n-1}, so a
+    nonzero constant field leaves every mode, and the history term, exactly 0."""
+    alpha, dt, c = 0.4, 1e-2, 2.5
+    soe = build_soe(alpha, TIGHT, dt, 1.0)
+    field = new_history("fidr", alpha, dt, np.full(points, c), n_modes=soe.n_modes)
+    field.use_kernel(soe)
+    for _ in range(20):
+        np.testing.assert_array_equal(field.step(np.full(points, c)), 0.0)
+    np.testing.assert_array_equal(field.modes, 0.0)
+
+
 def test_l1_evaluator_matches_l1_step():
     """The streaming L1 evaluator, whose history array starts small and
     doubles, gives the values of l1_step on the whole stored path."""
