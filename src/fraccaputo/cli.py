@@ -94,6 +94,8 @@ def _soe_params(args) -> SoEParams:
 
 def _run(problem, scheme: str, params, dt: float, h: float, T: float):
     """One solve of ``problem`` up to time T with step dt and spacing about h."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     return solve(problem, TimeGrid(dt, round(T / dt)),
                  SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h), scheme, params)
 

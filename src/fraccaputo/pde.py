@@ -55,6 +55,8 @@ class SpaceGrid:
     @classmethod
     def from_spacing(cls, x_lo: float, x_hi: float, h: float) -> "SpaceGrid":
         """Grid whose spacing is as close to h as an integer cell count allows."""
+        if not h > 0:
+            raise ValueError(f"spacing h must be positive, got {h}")
         return cls(x_lo, x_hi, max(2, round((x_hi - x_lo) / h)))
 
     @property

@@ -5,7 +5,8 @@ as 1-D fields in the solver and as scalar streams through the ``*_step``
 functions, with one history term ``weights @ state`` for both.  The two
 full-history rules are one evaluator, ``DirectHistory``, which sums weights
 against u - u^0 and differs per rule only in its factor sigma and its
-weight table; the two fast rules are ``FastHistory``:
+weight table; the two fast rules are ``FastHistory``, whose one rank update
+of the modes advances fields and streams (a stream is a field of one point):
 
 * ``l1``   -- direct piecewise-linear rule, O(n) per step;
 * ``fir``  -- fast rule compressing the integrated-by-parts history
@@ -53,7 +54,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
@@ -70,8 +71,7 @@ def phi(x):
     """(1 - exp(-x)) / x, the mode gain of the increment-based fast rule."""
     x = np.asarray(x, dtype=float)
     safe = np.where(x == 0.0, 1.0, x)
-    out = np.where(x == 0.0, 1.0, -np.expm1(-x) / safe)
-    return float(out) if out.ndim == 0 else out
+    return np.where(x == 0.0, 1.0, -np.expm1(-x) / safe)
 
 
 def _series_or_closed(x, coeffs, closed):
@@ -83,8 +83,7 @@ def _series_or_closed(x, coeffs, closed):
     ser = np.zeros_like(xs)
     for c in coeffs[::-1]:
         ser = ser * xs + c
-    out = np.where(small, ser, closed(np.where(small, 1.0, x)))
-    return float(out) if out.ndim == 0 else out
+    return np.where(small, ser, closed(np.where(small, 1.0, x)))
 
 
 def lam1(x):
@@ -100,19 +99,18 @@ def lam2(x):
 
 
 def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
-    """Per-mode (decay, c1, c2) of modes <- decay*modes + c1*u^n + c2*u^{n-1},
-    the recurrence of ``FastHistory.push(u^n)``, the only mutator of modes.
-
-    Both fast rules share this algebraic shape; fidr has c2 = -c1, so its
-    update needs only the increment u^n - u^{n-1}.
+    """Per-mode decay and the (rank x modes) block ``coeffs`` of
+    modes <- decay*modes + coeffs.T @ block, the recurrence of
+    ``FastHistory.push(u^n)``, the only mutator of modes.  fir has rank 2
+    against block = [u^n, u^{n-1}]; fidr has rank 1 against the increment
+    u^n - u^{n-1}, so a constant sample leaves its modes exactly 0.
     """
     x = nodes * dt
     decay = np.exp(-x)
     if scheme == "fir":
-        return decay, decay * dt * lam1(x), decay * dt * lam2(x)
+        return decay, decay * dt * np.array([lam1(x), lam2(x)])
     if scheme == "fidr":
-        gain = phi(x) * decay
-        return decay, gain, -gain
+        return decay, (phi(x) * decay)[None, :]
     raise ValueError(f"no mode recurrence for scheme {scheme!r}")
 
 
@@ -163,15 +161,14 @@ def kernel_order(scheme: str, alpha: float) -> float:
 class FastHistory(_Evaluator):
     """fir or fidr on the modes of a compressed kernel, over real samples
     (a complex one is a ``ValueError``); anchor u^{n-1}.
-    ``push(u^n)`` advances modes <- decay*modes + c1*u^n + c2*u^{n-1} (the
-    coefficients of ``mode_step_coeffs``), zero at step 1; fir adds the
+    ``push(u^n)`` advances modes <- decay*modes + coeffs.T @ block (the
+    recurrence of ``mode_step_coeffs``), zero at step 1; fir adds the
     boundary terms of its integration by parts, which use u^0.
 
-    On a field, push scales the modes in place and then makes one BLAS
-    rank update of their (points x modes) Fortran view: rank 2 against
-    [u^n, u^{n-1}] for fir, rank 1 against the increment u^n - u^{n-1} for
-    fidr, so a constant field leaves fidr's modes exactly 0.  A stream
-    applies the three terms in numpy."""
+    push views the modes as (modes x points), a stream as one point, scales
+    them in place and then makes one BLAS rank update of their Fortran view:
+    rank 2 against [u^n, u^{n-1}] for fir, rank 1 against the increment
+    u^n - u^{n-1} for fidr.  Fields and streams share this one path."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         _check_order(alpha)
@@ -192,11 +189,8 @@ class FastHistory(_Evaluator):
         if not math.isclose(soe.beta, self.beta, rel_tol=1e-12):
             raise ValueError(f"{self.scheme} of order {self.alpha} needs a kernel of "
                              f"order {self.beta}, got {soe.beta}")
-        decay, c1, c2 = mode_step_coeffs(self.scheme, soe.nodes, self.dt)
-        self.decay = decay.reshape((-1,) + (1,) * self.u0.ndim)
-        self.c1, self.c2 = c1, c2
-        # the (rank x modes) coefficient block of a field's rank update
-        self.rank_coeffs = np.stack([c1, c2]) if self.scheme == "fir" else c1[None, :]
+        decay, self.coeffs = mode_step_coeffs(self.scheme, soe.nodes, self.dt)
+        self.decay = decay[:, None]
         # the history term's weights, with 1/Gamma(1-alpha), and fir's -alpha, folded in
         self.hist_weights = soe.weights * ((-self.alpha if self.scheme == "fir" else 1.0) / self.g1)
         self.soe = soe
@@ -212,17 +206,13 @@ class FastHistory(_Evaluator):
 
     def push(self, u) -> None:
         u = _samples(u, float)
-        self.modes *= self.decay
-        if u.ndim:
-            block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None, :]
-            # modes.T is Fortran-ordered, so dgemm adds block.T @ rank_coeffs in
-            # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
-            # 100x slower at 3143 points x 25 modes on a 2-core host
-            self.modes = dgemm(1.0, block.T, self.rank_coeffs, beta=1.0, c=self.modes.T,
-                               overwrite_c=1).T
-        else:
-            self.modes += self.c1 * u
-            self.modes += self.c2 * self.anchor
+        block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
+        modes = self.modes.reshape(len(self.modes), -1)   # a view, (modes x points)
+        modes *= self.decay
+        # modes.T is Fortran-ordered, so dgemm adds block.T @ coeffs to it in
+        # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
+        # 100x slower at 3143 points x 25 modes on a 2-core host
+        dgemm(1.0, block.reshape(len(block), -1).T, self.coeffs, beta=1.0, c=modes.T, overwrite_c=1)
         self.anchor, self.step_index = u, self.step_index + 1
 
 

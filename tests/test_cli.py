@@ -112,11 +112,15 @@ def test_csv_determinism(tmp_path):
     assert a == b
 
 
-def test_validation_exit_code(tmp_path):
-    code, _ = run_cli(tmp_path, "solve", "--alpha", "1.5")
-    assert code == 2
-    code, _ = run_cli(tmp_path, "solve", "--modes", "17")
-    assert code == 2
+def test_validation_exit_code(tmp_path, capsys):
+    """Bad input, a spacing that is not positive included, is exit 2 with a
+    JSON error line: not a traceback, and not a run on a clamped grid."""
+    for argv in (["--alpha", "1.5"], ["--modes", "17"], ["--dt", "0"], ["--h", "0"],
+                 ["--h", "-0.001", "--dt", "0.5", "--T", "1"]):
+        code, out = run_cli(tmp_path, "solve", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
 @pytest.mark.parametrize("scheme", ["l1", "gl"])

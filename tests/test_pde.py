@@ -305,3 +305,6 @@ def test_spacegrid_from_spacing():
         SpaceGrid(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         SpaceGrid(0.0, 1.0, 1)
+    for h in (0.0, -1e-3, math.nan):   # not clamped to a 2-cell grid
+        with pytest.raises(ValueError):
+            SpaceGrid.from_spacing(0.0, PI, h)
