@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .pde import SCHEMES, SpaceGrid, manufactured_problem, nonlinear_problem, solve
+from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
 from .quadrature import ConstructionError
-from .schemes import TimeGrid, kernel_order
+from .schemes import SCHEMES, TimeGrid, kernel_order
 from .soe import SoEParams, build_soe, soe_max_error, tail_integral
 
 EXIT_OK = 0
@@ -96,7 +96,10 @@ def _run(problem, scheme: str, params, dt: float, h: float, T: float):
     """One solve of ``problem`` up to time T with step dt and spacing about h."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return solve(problem, TimeGrid(dt, round(T / dt)),
+    steps = T / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"T / dt = {steps} is not a finite step count")
+    return solve(problem, TimeGrid(dt, round(steps)),
                  SpaceGrid.from_spacing(problem.x_lo, problem.x_hi, h), scheme, params)
 
 
@@ -139,7 +142,7 @@ def _one_convergence_run(task) -> tuple:
     """(related error, status) of one manufactured run; a failure is a row."""
     scheme, n_modes, dt, alpha, h, T = task
     try:
-        params = SoEParams(*MODE_TABLE[n_modes]) if scheme != "gl" else None
+        params = SoEParams(*MODE_TABLE[n_modes])
         return _run(manufactured_problem(alpha), scheme, params, dt, h, T).related_error, "ok"
     except Exception as exc:
         return math.nan, f"failed: {exc}"

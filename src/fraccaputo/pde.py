@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .schemes import DirectHistory, FastHistory, TimeGrid, _check_order, kernel_order
+from .schemes import SCHEMES, DirectHistory, FastHistory, TimeGrid, _check_order, kernel_order
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "manufactured_problem",
     "nonlinear_problem",
 ]
-
-SCHEMES = ("l1", "fir", "fidr", "gl")
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,11 @@ class SpaceGrid:
 
     @classmethod
     def from_spacing(cls, x_lo: float, x_hi: float, h: float) -> "SpaceGrid":
-        """Grid whose spacing is as close to h as an integer cell count allows."""
+        """Grid whose spacing is as close to h as an integer cell count
+        allows; a ValueError for h not positive or leaving under 2 cells."""
         if not h > 0:
             raise ValueError(f"spacing h must be positive, got {h}")
-        return cls(x_lo, x_hi, max(2, round((x_hi - x_lo) / h)))
+        return cls(x_lo, x_hi, round((x_hi - x_lo) / h))
 
     @property
     def h(self) -> float:
@@ -281,9 +280,6 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
             grid_x = x
         return grid_factors
 
-    def initial(x):
-        return x ** 4 * (pi - x) ** 4
-
     def exact(x, t):
         *_, q_e, q = factors(x)
         return q_e * t ** (3.0 + alpha) + q
@@ -292,7 +288,7 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
         a, b, c, _, _ = factors(x)
         return a * t ** 3 - (b * t ** (3.0 + alpha) + c)
 
-    return DiffusionProblem(alpha, 0.0, pi, initial, source, exact)
+    return DiffusionProblem(alpha, 0.0, pi, lambda x: exact(x, 0.0), source, exact)
 
 
 def nonlinear_problem(alpha: float, x_lo: float = -1.0, x_hi: float = 1.0) -> DiffusionProblem:

@@ -36,15 +36,16 @@ __all__ = [
 ]
 
 
-def theorem_constants(alpha: float, t_n: float, t_prev: float, dt: float,
-                      eps: float, variant: str) -> tuple[float, float]:
+def theorem_constants(alpha: float, t_n: float, dt: float, eps: float,
+                      variant: str) -> tuple[float, float]:
     """The constants (mu, rho) of the discrete energy estimate of the fast
-    rule ``variant`` (fir or fidr) under kernel error eps.
+    rule ``variant`` (fir or fidr) at t_n under kernel error eps.
 
     The estimate is vacuous unless mu > 0: a kernel error too large for
     that leaves nothing to check.
     """
     g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
+    t_prev = t_n - dt
     scheme = variant.lower()
     if scheme == "fir":
         return ((t_n ** -alpha - 2.0 * alpha * eps * t_prev) / g1,
@@ -99,11 +100,11 @@ def _coercivity(scheme: str, seed: int) -> dict:
     the fast rule ``scheme`` on a kernel built at delta = dt, and mu, rho
     the constants of ``theorem_constants`` under its certified bound."""
     name, alpha, dt, n_steps = f"{scheme}_coercivity", 0.3, 0.05, 20
-    t_n, t_prev = n_steps * dt, (n_steps - 1) * dt
+    t_n = n_steps * dt
     soe = build_soe(kernel_order(scheme, alpha), SoEParams(0, 12, 6, 10), dt, t_n)
     eps = soe.bound
     eps_entry = {"eps" if scheme == "fir" else "eps0": eps}
-    mu, rho = theorem_constants(alpha, t_n, t_prev, dt, eps, scheme)
+    mu, rho = theorem_constants(alpha, t_n, dt, eps, scheme)
     # fidr's eps0 must also stay below the slack alpha/((1-alpha) dt^alpha)
     # that caps its leading unrolled coefficient
     if mu <= 0.0 or (scheme == "fidr" and eps > alpha / ((1.0 - alpha) * dt ** alpha)):

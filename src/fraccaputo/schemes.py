@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .quadrature import gauss_jacobi_power
+from .quadrature import ConstructionError, gauss_jacobi_power
 from .soe import SoEApproximation
 
 __all__ = [
@@ -40,10 +40,9 @@ __all__ = [
     "l1_weights",
     "l1_step",
     "caputo_reference",
-    "ReferenceError",
 ]
 
-_SERIES_CUT = 0.5  # switch point between Taylor series and closed forms
+SCHEMES = ("l1", "fir", "fidr", "gl")
 
 
 @dataclass(frozen=True)
@@ -74,44 +73,34 @@ def phi(x):
     return np.where(x == 0.0, 1.0, -np.expm1(-x) / safe)
 
 
-def _series_or_closed(x, coeffs, closed):
-    """Taylor series with ``coeffs`` below x = 0.5, where the closed form
-    cancels, and ``closed(x)`` above."""
+def lam2(x):
+    """(1 - exp(-x) - x*exp(-x)) / x**2, fir's gain on u^{n-1}; below
+    x = 0.5, where that form cancels, its Taylor series."""
     x = np.asarray(x, dtype=float)
-    small = x < _SERIES_CUT
+    small = x < 0.5
     xs = np.where(small, x, 1.0)
     ser = np.zeros_like(xs)
-    for c in coeffs[::-1]:
-        ser = ser * xs + c
-    return np.where(small, ser, closed(np.where(small, 1.0, x)))
-
-
-def lam1(x):
-    """(exp(-x) - 1 + x) / x**2."""
-    return _series_or_closed(x, [(-1.0) ** k / math.factorial(k + 2) for k in range(19)],
-                             lambda xb: (np.exp(-xb) - 1.0 + xb) / xb ** 2)
-
-
-def lam2(x):
-    """(1 - exp(-x) - x*exp(-x)) / x**2."""
-    return _series_or_closed(x, [(-1.0) ** k * (k + 1) / math.factorial(k + 2) for k in range(19)],
-                             lambda xb: (1.0 - np.exp(-xb) - xb * np.exp(-xb)) / xb ** 2)
+    for k in range(18, -1, -1):
+        ser = ser * xs + (-1.0) ** k * (k + 1) / math.factorial(k + 2)
+    xb = np.where(small, 1.0, x)
+    return np.where(small, ser, (1.0 - np.exp(-xb) - xb * np.exp(-xb)) / xb ** 2)
 
 
 def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
     """Per-mode decay and the (rank x modes) block ``coeffs`` of
     modes <- decay*modes + coeffs.T @ block, the recurrence of
     ``FastHistory.push(u^n)``, the only mutator of modes.  fir has rank 2
-    against block = [u^n, u^{n-1}]; fidr has rank 1 against the increment
-    u^n - u^{n-1}, so a constant sample leaves its modes exactly 0.
+    against block = [u^n, u^{n-1}], with gains phi - lam2 and lam2 at
+    x = nodes*dt (exp(-x*r) integrated against 1 - r and r over [0, 1]);
+    fidr has rank 1 against the increment u^n - u^{n-1}, so a constant
+    sample leaves its modes exactly 0.  ``FastHistory`` checks ``scheme``.
     """
     x = nodes * dt
     decay = np.exp(-x)
     if scheme == "fir":
-        return decay, decay * dt * np.array([lam1(x), lam2(x)])
-    if scheme == "fidr":
-        return decay, (phi(x) * decay)[None, :]
-    raise ValueError(f"no mode recurrence for scheme {scheme!r}")
+        gain2 = lam2(x)
+        return decay, decay * dt * np.array([phi(x) - gain2, gain2])
+    return decay, (phi(x) * decay)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +143,12 @@ class _Evaluator:
 
 def kernel_order(scheme: str, alpha: float) -> float:
     """Order beta of the kernel t**-beta that the fast rule of order alpha
-    compresses: alpha + 1 for fir, alpha for fidr."""
-    return alpha + 1.0 if scheme == "fir" else alpha
+    compresses: alpha + 1 for fir, alpha for fidr; other rules have none."""
+    if scheme == "fir":
+        return alpha + 1.0
+    if scheme == "fidr":
+        return alpha
+    raise ValueError(f"{scheme!r} is not a fast rule (fir or fidr)")
 
 
 class FastHistory(_Evaluator):
@@ -171,9 +164,9 @@ class FastHistory(_Evaluator):
     u^n - u^{n-1} for fidr.  Fields and streams share this one path."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
+        self.beta = kernel_order(scheme, alpha)
         _check_order(alpha)
         self.scheme, self.alpha, self.dt, self.soe = scheme, alpha, dt, None
-        self.beta = kernel_order(scheme, alpha)
         self.u0 = self.anchor = _samples(u0, float)
         self.modes = np.zeros((n_modes,) + self.u0.shape)
         self.g1 = math.gamma(1.0 - alpha)
@@ -228,8 +221,10 @@ class DirectHistory(_Evaluator):
     Samples keep their dtype (real or complex)."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_steps: int = 1):
+        self._table = {"l1": _l1_coefficients, "gl": gl_coefficients}.get(scheme)
+        if self._table is None:
+            raise ValueError(f"{scheme!r} is not a full-history rule (l1 or gl)")
         _check_order(alpha)
-        self._table = {"l1": _l1_coefficients, "gl": gl_coefficients}[scheme]
         self.scheme, self.alpha, self.dt = scheme, alpha, dt
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha) if scheme == "l1" else dt ** -alpha
         # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
@@ -274,9 +269,7 @@ def new_history(scheme: str, alpha: float, dt: float, u0, n_modes: int = 0):
     scheme = scheme.lower()
     if scheme in ("fir", "fidr"):
         return FastHistory(scheme, alpha, dt, u0, n_modes)
-    if scheme in ("l1", "gl"):
-        return DirectHistory(scheme, alpha, dt, u0)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return DirectHistory(scheme, alpha, dt, u0)
 
 
 def _fast_step(scheme: str, state, soe: SoEApproximation, u_n):
@@ -326,23 +319,15 @@ def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
 # ---------------------------------------------------------------------------
 # independent reference values
 
-class ReferenceError(RuntimeError):
-    """Quadrature reference failed to converge; carries the achieved tol."""
-
-    def __init__(self, achieved: float):
-        super().__init__(f"reference quadrature stalled at rel. {achieved:.2e}")
-        self.achieved = achieved
-
-
-def caputo_reference(family: str, alpha: float, t: float, sigma: float | None = None,
-                     rtol: float = 1e-10) -> float:
+def caputo_reference(family: str, alpha: float, t: float, sigma: float | None = None) -> float:
     """Fractional derivative of u = t**sigma or u = sin t at time t.
 
     ``family="power"`` uses the exact rule for u = t**sigma:
     Gamma(sigma+1)/Gamma(sigma+1-alpha) * t**(sigma-alpha).  ``family="sin"``
     integrates u'(t-v) = cos(t-v) against v**-alpha with a power-weight
     Gauss rule (which absorbs the endpoint singularity), doubling the
-    rule size until two consecutive sizes agree to rtol.
+    rule size up to 64 until two consecutive sizes agree to 1e-10
+    relative, else (at a large t) a ``ConstructionError``.
     """
     if t <= 0:
         raise ValueError("reference requires t > 0")
@@ -359,7 +344,7 @@ def caputo_reference(family: str, alpha: float, t: float, sigma: float | None = 
         val = float(np.sum(rule.weights * np.cos(t - rule.nodes))) / math.gamma(1.0 - alpha)
         if prev is not None:
             achieved = abs(val - prev) / max(abs(val), 1e-300)
-            if achieved <= rtol:
+            if achieved <= 1e-10:
                 return val
         prev = val
-    raise ReferenceError(achieved)
+    raise ConstructionError(f"reference quadrature stalled at rel. {achieved:.2e}")

@@ -40,27 +40,27 @@ def test_fit_rate_rejects_nonpositive_errors():
 
 def test_theorem_constants_vanishing_kernel_error():
     alpha, t_n = 0.3, 1.0
-    mu, rho = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "fir")
+    mu, rho = theorem_constants(alpha, t_n, 0.1, 0.0, "fir")
     np.testing.assert_allclose(mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
     np.testing.assert_allclose(rho, t_n ** (1.0 - alpha) / math.gamma(2.0 - alpha), rtol=1e-14)
     assert mu > 0
-    mu, _ = theorem_constants(alpha, t_n, 0.9, 0.1, 0.0, "FIDR")   # any case
+    mu, _ = theorem_constants(alpha, t_n, 0.1, 0.0, "FIDR")   # any case
     np.testing.assert_allclose(mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
     assert mu > 0
 
 
 def test_theorem_constants_fir_plug_in():
-    mu, _ = theorem_constants(0.1, 1.0, 0.99, 0.01, 0.1, "fir")
+    mu, _ = theorem_constants(0.1, 1.0, 0.01, 0.1, "fir")
     np.testing.assert_allclose(mu, (1.0 - 2 * 0.1 * 0.1 * 0.99) / math.gamma(0.9), rtol=1e-14)
     assert mu > 0
 
 
 def test_theorem_constants_inadmissible_flag():
     # eps above t_n**-alpha makes the leading constant negative
-    mu, _ = theorem_constants(0.5, 1.0, 0.99, 0.01, 5.0, "fidr")
+    mu, _ = theorem_constants(0.5, 1.0, 0.01, 5.0, "fidr")
     assert mu < 0
     with pytest.raises(ValueError):
-        theorem_constants(0.5, 1.0, 0.9, 0.1, 0.0, "L2")
+        theorem_constants(0.5, 1.0, 0.1, 0.0, "L2")
 
 
 def test_truncation_bound_plug_in():

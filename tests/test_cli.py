@@ -113,10 +113,13 @@ def test_csv_determinism(tmp_path):
 
 
 def test_validation_exit_code(tmp_path, capsys):
-    """Bad input, a spacing that is not positive included, is exit 2 with a
-    JSON error line: not a traceback, and not a run on a clamped grid."""
+    """Bad input, a spacing that is not positive or too wide for 2 cells and
+    a horizon with no finite step count included, is exit 2 with a JSON
+    error line: not a traceback, and not a run on a clamped grid."""
     for argv in (["--alpha", "1.5"], ["--modes", "17"], ["--dt", "0"], ["--h", "0"],
-                 ["--h", "-0.001", "--dt", "0.5", "--T", "1"]):
+                 ["--h", "-0.001", "--dt", "0.5", "--T", "1"],
+                 ["--h", "10", "--dt", "0.5", "--T", "1"], ["--h", "inf"],
+                 ["--T", "inf", "--dt", "0.5", "--h", "0.5"], ["--T", "1e300", "--dt", "1e-300"]):
         code, out = run_cli(tmp_path, "solve", *argv)
         assert code == 2, argv
         assert out == ""

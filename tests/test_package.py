@@ -1,3 +1,7 @@
+import builtins
+import importlib
+import pkgutil
+
 import fraccaputo
 
 
@@ -12,3 +16,13 @@ def test_public_names_are_pinned():
         "truncation_bound",
     ]
     assert all(hasattr(fraccaputo, name) for name in fraccaputo.__all__)
+
+
+def test_no_public_name_shadows_a_builtin():
+    """No name in the ``__all__`` of the package or of one of its modules
+    hides a Python builtin from a star import."""
+    modules = [fraccaputo] + [importlib.import_module(f"fraccaputo.{m.name}")
+                              for m in pkgutil.iter_modules(fraccaputo.__path__)]
+    shadowing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+                 if name in dir(builtins)]
+    assert shadowing == []

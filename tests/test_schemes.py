@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraccaputo.property_suite import truncation_bound
+from fraccaputo.quadrature import ConstructionError
 from fraccaputo.schemes import (
-    ReferenceError,
+    DirectHistory,
+    FastHistory,
     TimeGrid,
     caputo_reference,
     fidr_step,
@@ -17,8 +19,7 @@ from fraccaputo.schemes import (
     kernel_order,
     l1_step,
     l1_weights,
-    lam1,
-    lam2,
+    mode_step_coeffs,
     new_history,
     phi,
 )
@@ -62,12 +63,17 @@ def test_stable_coefficients_match_definitions():
     # below ~1e-6 the naive form cancels catastrophically; check the series
     tiny = np.array([1e-12, 1e-8])
     np.testing.assert_allclose(phi(tiny), 1.0 - tiny / 2.0, rtol=1e-13)
-    # identity lam1 + lam2 == phi holds exactly in exact arithmetic
-    x = np.concatenate([tiny, x])
-    np.testing.assert_allclose(lam1(x) + lam2(x), phi(x), rtol=1e-12)
-    np.testing.assert_allclose(lam1(1.0), math.exp(-1.0) - 1.0 + 1.0, rtol=1e-13)
-    assert abs(lam1(1e-9) - 0.5) < 1e-9
-    assert abs(lam2(1e-9) - 0.5) < 1e-9
+    # fir's gains on u^n and u^{n-1}, read from its block decay * dt * [g1, g2]
+    # at dt = 1: the closed forms where they do not cancel, and their
+    # first-order series where the closed forms would have no digit left
+    x = np.array([0.5, 0.5001, 1.0, 30.0, 100.0])
+    decay, coeffs = mode_step_coeffs("fir", x, 1.0)
+    closed = [(np.exp(-x) - 1.0 + x) / x ** 2, (1.0 - np.exp(-x) - x * np.exp(-x)) / x ** 2]
+    np.testing.assert_allclose(coeffs, decay * np.array(closed), rtol=1e-13)
+    x = np.array([0.0, 1e-12, 1e-8])
+    decay, coeffs = mode_step_coeffs("fir", x, 1.0)
+    np.testing.assert_allclose(coeffs, decay * np.array([0.5 - x / 6.0, 0.5 - x / 3.0]),
+                               rtol=1e-15)
 
 
 # --- direct rule -------------------------------------------------------------
@@ -375,8 +381,22 @@ def test_reference_validation():
         caputo_reference("power", 0.5, 1.0)
     with pytest.raises(ValueError):
         caputo_reference("cosh", 0.5, 1.0)
-    with pytest.raises(ReferenceError):
-        caputo_reference("sin", 0.5, 1.0, rtol=1e-30)
+    # at t = 100 the 64-node rule still misses 1e-10 by far
+    with pytest.raises(ConstructionError, match="stalled"):
+        caputo_reference("sin", 0.5, 100.0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: DirectHistory("fir", 0.5, 0.1, 0.0), "fir"),
+    (lambda: FastHistory("gl", 0.5, 0.1, 0.0, 4), "gl"),
+    (lambda: kernel_order("l1", 0.5), "l1"),
+    (lambda: new_history("rk4", 0.5, 0.1, 0.0), "rk4"),
+], ids=["direct-fir", "fast-gl", "kernel-order-l1", "unknown"])
+def test_rule_of_the_wrong_family_is_rejected_at_once(make, name):
+    """A rule name is checked where the evaluator or kernel order is made,
+    not at a later step, and the error names it."""
+    with pytest.raises(ValueError, match=f"'{name}'"):
+        make()
 
 
 # --- cross-scheme properties -------------------------------------------------
