@@ -4,8 +4,9 @@ Subcommands: tail-table, soe-error, convergence, solve, property-suite.
 Curves and tables go to CSV (header row plus a leading ``#`` comment line
 recording the full configuration, 6 significant digits, values below
 1e-15 printed as 0 where noted); single runs and property ledgers go to
-JSON.  Exit codes: 0 ok, 2 bad configuration, 3 property failure,
-4 numerical failure.
+JSON.  ``SETTINGS`` states each setting's flag, default and type once;
+``COMMANDS`` lists the settings each subcommand takes.  Exit codes: 0 ok,
+2 bad configuration, 3 property failure, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -35,30 +36,42 @@ MODE_TABLE = {
     40: (3, 15, 4, 3),
 }
 
-DEFAULTS = {
-    "alpha": 0.1,
-    "dt": 1e-1,
-    "h": 1e-3,
-    "T": 1.0,
-    "scheme": "fidr",
-    "soe_a": 3,
-    "soe_b": 10,
-    "soe_n1": 4,
-    "soe_n2": 3,
-    "problem": "manufactured",
-    "seed": 42,
-    "levels": 4,
-    "samples": 200,
-    "x_lo": -1.0,
-    "x_hi": 1.0,
+#: every setting: its default, whose type is its flag's type, and help text.
+#: The flag is --key with - for _.
+SETTINGS = {
+    "alpha": (0.1, "fractional order, in (0, 1)"),
+    "dt": (1e-1, "time step; the largest step of a convergence sweep"),
+    "h": (1e-3, "grid spacing"),
+    "T": (1.0, "final time"),
+    "scheme": ("fidr", "time rule"),
+    "problem": ("manufactured", "problem to solve"),
+    "x_lo": (-1.0, "left end of the nonlinear problem's domain"),
+    "x_hi": (1.0, "right end of the nonlinear problem's domain"),
+    "soe_a": (3, "ladder start exponent a"),
+    "soe_b": (10, "ladder top exponent b"),
+    "soe_n1": (4, "low-band rule nodes"),
+    "soe_n2": (3, "Legendre nodes per interval"),
+    "samples": (200, "sample times per curve, at least 2"),
+    "levels": (4, "number of step sizes, halving from dt, at least 1"),
+    "seed": (42, "random seed"),
 }
 
-#: the settings whose flags take one of a fixed set of values; a value
-#: from the config file must be one of them too
-CHOICES = {
-    "scheme": SCHEMES,
-    "problem": ("manufactured", "nonlinear"),
-}
+#: the settings that take one of a fixed set of values, as a flag or a config value
+CHOICES = {"scheme": SCHEMES, "problem": ("manufactured", "nonlinear")}
+
+#: add_argument keywords per flag: every setting's, with default None so that
+#: main sees which were given, then the flags that no config key sets
+_FLAGS = {key: dict(type=type(default), choices=CHOICES.get(key),
+                    help=f"{text} (default: {default})")
+          for key, (default, text) in SETTINGS.items()}
+_FLAGS.update(
+    out=dict(help="output path (default: stdout)"),
+    config=dict(help="JSON file of settings"),
+    modes=dict(type=int, help=f"mode-count preset, one of {sorted(MODE_TABLE)}"),
+    jobs=dict(type=int, default=1, help="parallel runs for sweeps, at least 1"),
+    snapshots=dict(action="store_true", help="embed field snapshots"),
+    quick=dict(action="store_true", help="thin the dense scans"),
+)
 
 
 def _fmt(v: float) -> str:
@@ -151,6 +164,8 @@ def _one_convergence_run(task) -> tuple:
 def cmd_convergence(args) -> int:
     """Related error versus dt for the fast schemes (N in {9, 25}) and the
     binomial baseline, halving dt ``levels`` times from the starting value."""
+    if args.levels < 1 or args.jobs < 1:
+        raise ValueError(f"levels and jobs must be at least 1, got {args.levels}, {args.jobs}")
     alpha, h, T = args.alpha, args.h, args.T
     dts = [args.dt * 0.5 ** k for k in range(args.levels)]
     # one row per (scheme, mode count, dt); the storage-hungry baseline
@@ -196,73 +211,37 @@ def cmd_property_suite(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--config", default=None, help="JSON file with defaults")
+_SOE = ("soe_a", "soe_b", "soe_n1", "soe_n2", "modes")
 
-
-def _add_soe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--soe-a", type=int, default=None, help="ladder start exponent a")
-    p.add_argument("--soe-b", type=int, default=None, help="ladder top exponent b")
-    p.add_argument("--soe-n1", type=int, default=None, help="low-band rule nodes")
-    p.add_argument("--soe-n2", type=int, default=None, help="Legendre nodes per interval")
-    p.add_argument("--modes", type=int, default=None,
-                   help=f"mode-count preset, one of {sorted(MODE_TABLE)}")
+#: subcommand -> (handler, help, the settings and flags it takes besides --out, --config)
+COMMANDS = {
+    "tail-table": (cmd_tail_table, "dropped-tail magnitude table", ()),
+    "soe-error": (cmd_soe_error, "kernel-compression error curves", ("alpha", "samples", *_SOE)),
+    "convergence": (cmd_convergence, "related error versus dt sweep",
+                    ("alpha", "dt", "h", "T", "levels", "jobs")),
+    "solve": (cmd_solve, "single run, JSON report",
+              ("alpha", "dt", "h", "T", "scheme", "problem", "x_lo", "x_hi", "snapshots", *_SOE)),
+    "property-suite": (cmd_property_suite, "seeded inequality checks", ("seed", "quick")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fraccaputo",
-        description="Fast fractional-derivative evaluation benchmarks.",
-    )
+        prog="fraccaputo", description="Fast fractional-derivative evaluation benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tail-table", help="dropped-tail magnitude table")
-    _add_common(p)
-    p.set_defaults(func=cmd_tail_table)
-
-    p = sub.add_parser("soe-error", help="kernel-compression error curves")
-    _add_common(p)
-    _add_soe_flags(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_soe_error)
-
-    p = sub.add_parser("convergence", help="related error versus dt sweep")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None, help="largest step of the ladder")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None, help="number of halvings")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs for sweeps")
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("solve", help="single run, JSON report")
-    _add_common(p)
-    _add_soe_flags(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
-    p.add_argument("--problem", choices=CHOICES["problem"], default=None)
-    p.add_argument("--x-lo", type=float, default=None)
-    p.add_argument("--x-hi", type=float, default=None)
-    p.add_argument("--snapshots", action="store_true", help="embed field snapshots")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("property-suite", help="seeded inequality checks")
-    _add_common(p)
-    p.add_argument("--quick", action="store_true", help="thin the dense scans")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_property_suite)
-
+    for command, (_, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in ("out", "config", *keys):
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Each setting it takes comes from its flag, else
+    from the --config file's key, parsed as the flag's text, else from
+    SETTINGS.  Bad input, a grid too large for memory included, exits 2."""
     args = build_parser().parse_args(argv)
+    handler, _, keys = COMMANDS[args.command]
     config = {}
     if args.config:
         try:
@@ -274,17 +253,18 @@ def main(argv=None) -> int:
             print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
             return EXIT_VALIDATION
     try:
-        # a setting the subcommand takes and no flag gave comes from the
-        # config file, else from DEFAULTS, as the default's type, and obeys
-        # the flag's choices
-        for key, default in DEFAULTS.items():
-            if getattr(args, key, default) is None:
-                value = type(default)(config.get(key, default))
-                if key in CHOICES and value not in CHOICES[key]:
-                    raise ValueError(f"{key} {value!r} is not one of {CHOICES[key]}")
-                setattr(args, key, value)
-        return args.func(args)
-    except ValueError as exc:
+        for key in keys:
+            if key in SETTINGS and getattr(args, key) is None:
+                default = SETTINGS[key][0]
+                parse, text = type(default), str(config.get(key, default))
+                try:
+                    setattr(args, key, parse(text))
+                except ValueError:
+                    raise ValueError(f"{key} {text!r} is not of type {parse.__name__}") from None
+                if key in CHOICES and text not in CHOICES[key]:  # choices are strings
+                    raise ValueError(f"{key} {text!r} is not one of {CHOICES[key]}")
+        return handler(args)
+    except (ValueError, MemoryError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION
     except (ConstructionError, FloatingPointError, np.linalg.LinAlgError) as exc:

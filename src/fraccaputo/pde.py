@@ -53,10 +53,14 @@ class SpaceGrid:
     @classmethod
     def from_spacing(cls, x_lo: float, x_hi: float, h: float) -> "SpaceGrid":
         """Grid whose spacing is as close to h as an integer cell count
-        allows; a ValueError for h not positive or leaving under 2 cells."""
+        allows; a ValueError for h not positive, leaving under 2 cells or
+        so small that the cell count is not finite."""
         if not h > 0:
             raise ValueError(f"spacing h must be positive, got {h}")
-        return cls(x_lo, x_hi, round((x_hi - x_lo) / h))
+        cells = (x_hi - x_lo) / h
+        if not math.isfinite(cells):
+            raise ValueError(f"(x_hi - x_lo) / h = {cells} is not a finite cell count")
+        return cls(x_lo, x_hi, round(cells))
 
     @property
     def h(self) -> float:

@@ -113,17 +113,35 @@ def test_csv_determinism(tmp_path):
 
 
 def test_validation_exit_code(tmp_path, capsys):
-    """Bad input, a spacing that is not positive or too wide for 2 cells and
-    a horizon with no finite step count included, is exit 2 with a JSON
-    error line: not a traceback, and not a run on a clamped grid."""
-    for argv in (["--alpha", "1.5"], ["--modes", "17"], ["--dt", "0"], ["--h", "0"],
-                 ["--h", "-0.001", "--dt", "0.5", "--T", "1"],
-                 ["--h", "10", "--dt", "0.5", "--T", "1"], ["--h", "inf"],
-                 ["--T", "inf", "--dt", "0.5", "--h", "0.5"], ["--T", "1e300", "--dt", "1e-300"]):
-        code, out = run_cli(tmp_path, "solve", *argv)
+    """Bad input, a spacing that is not positive, too wide for 2 cells or
+    too small for a finite cell count, a horizon with no finite step count
+    and an empty sweep included, is exit 2 with a JSON error line: not a
+    traceback, not a run on a clamped grid and not an empty CSV."""
+    solve = (["--alpha", "1.5"], ["--modes", "17"], ["--dt", "0"], ["--h", "0"],
+             ["--h", "-0.001", "--dt", "0.5", "--T", "1"],
+             ["--h", "10", "--dt", "0.5", "--T", "1"], ["--h", "inf"],
+             ["--scheme", "fidr", "--h", "1e-320", "--dt", "0.5", "--T", "1"],
+             ["--T", "inf", "--dt", "0.5", "--h", "0.5"], ["--T", "1e300", "--dt", "1e-300"])
+    convergence = (["--levels", "0"], ["--levels", "-1"], ["--jobs", "0"], ["--jobs", "-1"])
+    for argv in [["solve", *a] for a in solve] + [["convergence", *a] for a in convergence]:
+        code, out = run_cli(tmp_path, *argv)
         assert code == 2, argv
         assert out == ""
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_grid_too_large_for_memory_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    """A grid numpy cannot allocate (22.9 TiB at --h 1e-12) is bad input (2)
+    with a JSON error line, not a traceback.  The refusal is simulated: a
+    real request of that size could succeed and exhaust the machine where
+    memory is overcommitted."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.9 TiB for an array")
+    monkeypatch.setattr(cli, "solve", refuse)
+    code, out = run_cli(tmp_path, "solve", "--h", "1e-12", "--dt", "0.5", "--T", "1")
+    assert code == 2 and out == ""
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation" and "TiB" in error["detail"]
 
 
 @pytest.mark.parametrize("scheme", ["l1", "gl"])
@@ -152,6 +170,56 @@ def test_config_values_obey_flag_choices(tmp_path, capsys, monkeypatch, setting)
     code, _ = run_cli(tmp_path, "solve", "--config", str(cfg), "--h", "0.1")
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("soe-error", {"samples": 2.9}), ("solve", {"alpha": None}), ("solve", {"alpha": [0.5]}),
+    ("solve", {"dt": {}}), ("convergence", {"levels": True})])
+def test_config_values_parse_as_their_flags_text(tmp_path, capsys, monkeypatch, command,
+                                                 setting):
+    """A config value is parsed as its flag's text would be, so one the flag
+    rejects is bad input (2) before the subcommand runs: not converted
+    (2.9 to 2, true to 1) and not a traceback."""
+    (key, value), = setting.items()
+    with pytest.raises(SystemExit) as flag_exit:
+        main([command, f"--{key}", str(value)])
+    assert flag_exit.value.code == 2
+    capsys.readouterr()
+    _, help_text, keys = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (lambda args: pytest.fail("ran a bad config"), help_text, keys))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_config_keys_resolve_as_their_flags(tmp_path, monkeypatch):
+    """Every setting of every subcommand takes the same value, of its
+    default's type, from its config key as from its flag."""
+    seen = []
+    for command, (_, help_text, keys) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, command, (seen.append, help_text, keys))
+    cfg = tmp_path / "cfg.json"
+    checked = 0
+    for command, (_, _, keys) in cli.COMMANDS.items():
+        for key in (k for k in keys if k in cli.SETTINGS):
+            default = cli.SETTINGS[key][0]
+            if key in cli.CHOICES:
+                value = next(c for c in cli.CHOICES[key] if c != default)
+            else:
+                value = {int: 7, float: 0.375}[type(default)]
+            cfg.write_text(json.dumps({key: value}))
+            main([command, "--config", str(cfg)])
+            main([command, "--" + key.replace("_", "-"), str(value)])
+            main([command])
+            by_config, by_flag, unset = (vars(args) for args in seen[-3:])
+            assert by_config.pop("config") == str(cfg) and by_flag.pop("config") is None
+            assert by_config == by_flag, (command, key)
+            assert by_flag[key] == value and type(by_flag[key]) is type(default)
+            assert unset[key] == default
+            checked += 1
+    assert checked == 24  # 39 flags less --out, --config, --modes, --jobs, --snapshots, --quick
 
 
 @pytest.mark.parametrize("alpha", ["1e-320", "1e-17"])

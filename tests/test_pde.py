@@ -305,7 +305,8 @@ def test_spacegrid_from_spacing():
         SpaceGrid(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         SpaceGrid(0.0, 1.0, 1)
-    # not clamped to a 2-cell grid: too wide a spacing rounds below 2 cells
-    for h in (0.0, -1e-3, math.nan, 10.0, math.inf):
+    # not clamped to a 2-cell grid: too wide a spacing rounds below 2 cells,
+    # and one so small that the cell count overflows is no grid either
+    for h in (0.0, -1e-3, math.nan, 10.0, math.inf, 1e-320):
         with pytest.raises(ValueError):
             SpaceGrid.from_spacing(0.0, PI, h)
