@@ -190,6 +190,9 @@ def cmd_convergence(args) -> int:
 def cmd_solve(args) -> int:
     """One full run, reported as JSON."""
     if args.problem == "manufactured":
+        if args.given & {"x_lo", "x_hi"}:
+            raise ValueError("x_lo and x_hi set the nonlinear problem's domain; "
+                             "the manufactured problem is fixed on [0, pi]")
         problem = manufactured_problem(args.alpha)
     else:
         problem = nonlinear_problem(args.alpha, args.x_lo, args.x_hi)
@@ -253,6 +256,9 @@ def main(argv=None) -> int:
             print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
             return EXIT_VALIDATION
     try:
+        # the settings given by flag or config, for a handler that refuses some
+        args.given = {key for key in keys
+                      if key in SETTINGS and (getattr(args, key) is not None or key in config)}
         for key in keys:
             if key in SETTINGS and getattr(args, key) is None:
                 default = SETTINGS[key][0]

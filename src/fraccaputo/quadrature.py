@@ -5,11 +5,14 @@ Two families are provided: Gauss-Legendre on an arbitrary interval
 (gamma in (-1, 1)).  Both are built with the Golub-Welsch algorithm:
 the symmetric tridiagonal matrix of three-term recurrence coefficients
 is diagonalized, eigenvalues give the nodes and the squared first
-eigenvector components give the weights.
+eigenvector components give the weights.  The canonical Legendre rule
+on [-1, 1] is solved once per size and kept read-only, as a kernel's
+dyadic ladder maps the same rule to each of its intervals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -97,11 +100,20 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadRule:
     _check_n(n)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    x, w = _legendre(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return QuadRule(mid + half * x, half * w, (lo, hi), 0.0)
+
+
+@lru_cache(maxsize=MAX_NODES)
+def _legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    read-only arrays computed once per n."""
     k = np.arange(1.0, n)
     x, v0sq = _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), "Legendre")
     w = 2.0 * v0sq
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return QuadRule(mid + half * x, half * w, (lo, hi), 0.0)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_jacobi_power(n: int, gamma: float, a: float) -> QuadRule:

@@ -15,6 +15,14 @@ of the modes advances fields and streams (a stream is a field of one point):
   sample increments, O(N_modes) per step;
 * ``gl``   -- fractional-difference rule with binomial weights over the
   full history (the storage-hungry baseline).
+
+A fast rule's modes decay by d = exp(-s*dt) per step.  ``FastHistory``
+stores them age-shifted, true modes = d**age * stored, so that no step
+scales the (modes x points) array: a push adds its rank update through the
+coefficient row of its age, the history term reads through the weight row
+of its age, and once per period of at most 64 steps (``_PERIOD_CAP``) the
+stored modes are folded back to their true values.  The tables of rows are
+built once per kernel (``_mode_tables``).
 """
 from __future__ import annotations
 
@@ -43,6 +51,12 @@ __all__ = [
 ]
 
 SCHEMES = ("l1", "fir", "fidr", "gl")
+
+#: Longest period, in steps, between two folds of a fast rule's stored modes.
+_PERIOD_CAP = 64
+#: ln 2**400: the largest factor d**-age that a stored mode or a table row
+#: carries, far inside the float range either way.
+_SCALE_LN = 400.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,13 +101,14 @@ def lam2(x):
 
 
 def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
-    """Per-mode decay and the (rank x modes) block ``coeffs`` of
-    modes <- decay*modes + coeffs.T @ block, the recurrence of
-    ``FastHistory.push(u^n)``, the only mutator of modes.  fir has rank 2
-    against block = [u^n, u^{n-1}], with gains phi - lam2 and lam2 at
-    x = nodes*dt (exp(-x*r) integrated against 1 - r and r over [0, 1]);
-    fidr has rank 1 against the increment u^n - u^{n-1}, so a constant
-    sample leaves its modes exactly 0.  ``FastHistory`` checks ``scheme``.
+    """Per-mode decay d and the (rank x modes) block ``coeffs`` of the true
+    modes' recurrence modes <- d*modes + coeffs.T @ block, which
+    ``FastHistory.push(u^n)`` advances on its age-shifted modes through the
+    rows coeffs * d**-age of ``_mode_tables``.  fir has rank 2 against
+    block = [u^n, u^{n-1}], with gains phi - lam2 and lam2 at x = nodes*dt
+    (exp(-x*r) integrated against 1 - r and r over [0, 1]); fidr has rank 1
+    against the increment u^n - u^{n-1}, so a constant sample leaves its
+    modes exactly 0.  ``FastHistory`` checks ``scheme``.
     """
     x = nodes * dt
     decay = np.exp(-x)
@@ -101,6 +116,44 @@ def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
         gain2 = lam2(x)
         return decay, decay * dt * np.array([phi(x) - gain2, gain2])
     return decay, (phi(x) * decay)[None, :]
+
+
+_last_tables = None  # (soe, (scheme, dt, alpha), tables) of the last _mode_tables call
+
+
+def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
+    """(period F, coefficient rows, weight rows, powers) of the fast rule
+    ``scheme`` of order ``alpha`` on ``soe`` at step ``dt``, all read-only.
+
+    With d = exp(-s*dt) per mode, F = min(_PERIOD_CAP, floor(ln 2**400 /
+    max(s*dt))), so that d**-age stays below 2**400 for every age <= F;
+    F = 0 (s*dt > 277, d = 0 included) is a plain decay pass at every step.
+    Row ``age`` of the (F+1, rank, modes) coefficients is coeffs * d**-age
+    (``mode_step_coeffs``), row ``age`` of the (F+1, modes) weights is
+    d**age times the history weights w/Gamma(1-alpha) (times -alpha for
+    fir), and row a of the (F+2, modes, 1) powers is d**a, the last one
+    d**(F+1), the fold.  They are powers of the rounded d, not
+    exp(-age*s*dt), so that F = 0 repeats the decay pass to the bit and no
+    0 * inf arises where d underflows.
+
+    The last call's tables are kept, with a reference to its kernel, so
+    that the many evaluators a suite runs on one kernel build them once.
+    """
+    global _last_tables
+    key = (scheme, dt, alpha)
+    if _last_tables is not None and _last_tables[0] is soe and _last_tables[1] == key:
+        return _last_tables[2]
+    decay, coeffs = mode_step_coeffs(scheme, soe.nodes, dt)
+    x_max = float(soe.nodes[-1]) * dt   # nodes increase
+    period = _PERIOD_CAP if x_max * _PERIOD_CAP <= _SCALE_LN else int(_SCALE_LN // x_max)
+    powers = decay ** np.arange(period + 2.0)[:, None]
+    hist_weights = soe.weights * ((-alpha if scheme == "fir" else 1.0) / math.gamma(1.0 - alpha))
+    tables = (period, coeffs / powers[:period + 1, None], hist_weights * powers[:period + 1],
+              powers[:, :, None])
+    for table in tables[1:]:
+        table.flags.writeable = False
+    _last_tables = (soe, key, tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +176,25 @@ def _samples(u, dtype=None) -> np.ndarray:
 
 
 class _Evaluator:
-    """D u^n = sigma * (u^n - anchor) + history_term() on scalar samples (a
-    stream) or 1-D fields.  The history term is one ``weights @ state`` on
-    contiguous operands and only reads; ``push(u^n)`` alone advances the
-    state.  The solver calls ``known()``, the part of D u^n fixed before the
-    solve, then ``push``; a stream calls ``step(u^n)``, which keeps the
-    local term a difference."""
+    """D u^n = sigma * u^n - lag * anchor + history_term() on scalar samples
+    (a stream) or 1-D fields.  lag = sigma, except in fir, whose term
+    boundary * anchor, boundary = sigma - lag, is taken out of its history.
+    The history term is one ``weights @ state`` on contiguous operands and
+    only reads; ``push(u^n)`` alone advances the state.  The solver calls
+    ``known()``, the part of D u^n fixed before the solve, then ``push``; a
+    stream calls ``step(u^n)``, which keeps the local term a difference,
+    sigma * (u^n - anchor) + boundary * anchor + history_term()."""
 
     step_index = 0
+    boundary = 0.0
 
     def known(self):
-        return self.history_term() - self.sigma * self.anchor
+        return self.history_term() - self.lag * self.anchor
 
     def step(self, u):
         value = self.sigma * (u - self.anchor) + self.history_term()
+        if self.boundary:
+            value += self.boundary * self.anchor
         self.push(u)
         return value
 
@@ -153,28 +211,37 @@ def kernel_order(scheme: str, alpha: float) -> float:
 
 class FastHistory(_Evaluator):
     """fir or fidr on the modes of a compressed kernel, over real samples
-    (a complex one is a ``ValueError``); anchor u^{n-1}.
-    ``push(u^n)`` advances modes <- decay*modes + coeffs.T @ block (the
-    recurrence of ``mode_step_coeffs``), zero at step 1; fir adds the
-    boundary terms of its integration by parts, which use u^0.
+    (a complex one is a ``ValueError``); anchor u^{n-1}.  The true modes
+    follow modes <- d*modes + coeffs.T @ block (``mode_step_coeffs``), zero
+    at step 1; fir adds the boundary terms of its integration by parts,
+    dt**-alpha/Gamma(1-alpha) * u^{n-1}, which its lag alpha*sigma takes in,
+    and -t_n**-alpha/Gamma(1-alpha) * u^0.
 
-    push views the modes as (modes x points), a stream as one point, scales
-    them in place and then makes one BLAS rank update of their Fortran view:
-    rank 2 against [u^n, u^{n-1}] for fir, rank 1 against the increment
-    u^n - u^{n-1} for fidr.  Fields and streams share this one path."""
+    ``modes`` holds the true modes age-shifted, true = d**age * modes, one
+    age for all of them.  ``push`` views them as (modes x points), a stream
+    as one point, and makes one BLAS rank update of their Fortran view
+    through row age+1 of the coefficient table: rank 2 against
+    [u^n, u^{n-1}] for fir, rank 1 against the increment u^n - u^{n-1} for
+    fidr.  A push past the period F first folds, modes *= d**(F+1), and
+    adds through row 0, so the age runs 0, 1, .., F, 0, ...  The history
+    term is row ``age`` of the weight table @ modes.  Fields and streams
+    share this one path; the tables come from ``_mode_tables``."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         self.beta = kernel_order(scheme, alpha)
         _check_order(alpha)
-        self.scheme, self.alpha, self.dt, self.soe = scheme, alpha, dt, None
+        self.scheme, self.alpha, self.dt, self.soe, self.age = scheme, alpha, dt, None, 0
         self.u0 = self.anchor = _samples(u0, float)
         self.modes = np.zeros((n_modes,) + self.u0.shape)
         self.g1 = math.gamma(1.0 - alpha)
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
+        self.lag = self.sigma
+        if scheme == "fir":
+            self.lag, self.boundary = alpha * self.sigma, dt ** -alpha / self.g1
 
     def use_kernel(self, soe: SoEApproximation) -> None:
-        """Run on ``soe``, a kernel of order ``beta``; its recurrence
-        coefficients are built once."""
+        """Run on ``soe``, a kernel of order ``beta``.  Modes stored under
+        another kernel are first folded to their true values."""
         if soe is self.soe:
             return
         if soe.n_modes != len(self.modes):
@@ -182,18 +249,19 @@ class FastHistory(_Evaluator):
         if not math.isclose(soe.beta, self.beta, rel_tol=1e-12):
             raise ValueError(f"{self.scheme} of order {self.alpha} needs a kernel of "
                              f"order {self.beta}, got {soe.beta}")
-        decay, self.coeffs = mode_step_coeffs(self.scheme, soe.nodes, self.dt)
-        self.decay = decay[:, None]
-        # the history term's weights, with 1/Gamma(1-alpha), and fir's -alpha, folded in
-        self.hist_weights = soe.weights * ((-self.alpha if self.scheme == "fir" else 1.0) / self.g1)
+        if self.age:
+            modes = self.modes.reshape(len(self.modes), -1)   # a view
+            modes *= self._powers[self.age]
+            self.age = 0
+        self.period, self._coeffs, self._weights, self._powers = _mode_tables(
+            self.scheme, self.alpha, self.dt, soe)
         self.soe = soe
 
     def history_term(self):
-        hist = self.hist_weights @ self.modes
+        hist = self._weights[self.age] @ self.modes
         if self.scheme == "fir":
-            # the boundary terms of the integration by parts
+            # the u^0 boundary term of the integration by parts
             t_n = (self.step_index + 1) * self.dt
-            hist += self.anchor * (self.dt ** -self.alpha / self.g1)
             hist -= self.u0 * (t_n ** -self.alpha / self.g1)
         return hist
 
@@ -201,12 +269,16 @@ class FastHistory(_Evaluator):
         u = _samples(u, float)
         block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
         modes = self.modes.reshape(len(self.modes), -1)   # a view, (modes x points)
-        modes *= self.decay
+        age = self.age + 1
+        if age > self.period:
+            modes *= self._powers[age]
+            age = 0
         # modes.T is Fortran-ordered, so dgemm adds block.T @ coeffs to it in
         # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
         # 100x slower at 3143 points x 25 modes on a 2-core host
-        dgemm(1.0, block.reshape(len(block), -1).T, self.coeffs, beta=1.0, c=modes.T, overwrite_c=1)
-        self.anchor, self.step_index = u, self.step_index + 1
+        dgemm(1.0, block.reshape(len(block), -1).T, self._coeffs[age], beta=1.0, c=modes.T,
+              overwrite_c=1)
+        self.anchor, self.step_index, self.age = u, self.step_index + 1, age
 
 
 class DirectHistory(_Evaluator):
@@ -227,6 +299,7 @@ class DirectHistory(_Evaluator):
         _check_order(alpha)
         self.scheme, self.alpha, self.dt = scheme, alpha, dt
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha) if scheme == "l1" else dt ** -alpha
+        self.lag = self.sigma
         # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
         self.anchor = _samples(u0)[()]
         self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)

@@ -114,20 +114,38 @@ def test_csv_determinism(tmp_path):
 
 def test_validation_exit_code(tmp_path, capsys):
     """Bad input, a spacing that is not positive, too wide for 2 cells or
-    too small for a finite cell count, a horizon with no finite step count
-    and an empty sweep included, is exit 2 with a JSON error line: not a
-    traceback, not a run on a clamped grid and not an empty CSV."""
+    too small for a finite cell count, a horizon with no finite step count,
+    an empty sweep and a domain for the manufactured problem, whose domain
+    is fixed, included, is exit 2 with a JSON error line: not a traceback,
+    not a run on a clamped or ignored grid and not an empty CSV."""
     solve = (["--alpha", "1.5"], ["--modes", "17"], ["--dt", "0"], ["--h", "0"],
              ["--h", "-0.001", "--dt", "0.5", "--T", "1"],
              ["--h", "10", "--dt", "0.5", "--T", "1"], ["--h", "inf"],
              ["--scheme", "fidr", "--h", "1e-320", "--dt", "0.5", "--T", "1"],
-             ["--T", "inf", "--dt", "0.5", "--h", "0.5"], ["--T", "1e300", "--dt", "1e-300"])
+             ["--T", "inf", "--dt", "0.5", "--h", "0.5"], ["--T", "1e300", "--dt", "1e-300"],
+             ["--problem", "manufactured", "--x-lo", "5", "--x-hi", "9", "--h", "0.05"],
+             ["--x-lo", "0", "--h", "0.05"], ["--x-hi", "1", "--h", "0.05"])
     convergence = (["--levels", "0"], ["--levels", "-1"], ["--jobs", "0"], ["--jobs", "-1"])
     for argv in [["solve", *a] for a in solve] + [["convergence", *a] for a in convergence]:
         code, out = run_cli(tmp_path, *argv)
         assert code == 2, argv
         assert out == ""
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("setting", [{"x_lo": -2.0}, {"x_hi": 2.0}])
+def test_manufactured_domain_config_is_a_validation_error(tmp_path, capsys, setting):
+    """A domain end set by config key is refused with the manufactured
+    problem, as by flag; with the nonlinear problem it sets the domain."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    code, out = run_cli(tmp_path, "solve", "--config", str(cfg), "--h", "0.05")
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    cfg.write_text(json.dumps({**setting, "problem": "nonlinear"}))
+    code, out = run_cli(tmp_path, "solve", "--config", str(cfg), "--h", "0.05", "--T", "0.2")
+    (key, value), = setting.items()
+    assert code == 0 and json.loads(out)[key] == value
 
 
 def test_grid_too_large_for_memory_is_a_validation_error(tmp_path, capsys, monkeypatch):

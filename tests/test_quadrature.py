@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraccaputo.quadrature import ConstructionError, gauss_jacobi_power, gauss_legendre
+from fraccaputo.quadrature import ConstructionError, _legendre, gauss_jacobi_power, gauss_legendre
 
 from oracles import adaptive_simpson, singular_power_integral
 
@@ -17,6 +17,20 @@ def test_legendre_two_point_analytic():
     np.testing.assert_allclose(rule.nodes, [-0.5773502691896258, 0.5773502691896258],
                                atol=1e-15)
     np.testing.assert_allclose(rule.weights, [1.0, 1.0], atol=1e-15)
+
+
+def test_canonical_legendre_rule_is_cached_read_only():
+    """Each size's rule on [-1, 1] is solved once and shared: its arrays
+    cannot be written, and the rules built from it are the caller's own."""
+    x, w = _legendre(6)
+    assert _legendre(6)[0] is x
+    for shared in (x, w):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    rule = gauss_legendre(6, -1.0, 1.0)
+    np.testing.assert_array_equal(rule.nodes, x)
+    rule.nodes[0] = 0.0
+    assert x[0] != 0.0
 
 
 def test_legendre_cubic_exact():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dgemm
 
 from fraccaputo.property_suite import truncation_bound
 from fraccaputo.quadrature import ConstructionError
 from fraccaputo.schemes import (
+    _PERIOD_CAP,
     DirectHistory,
     FastHistory,
     TimeGrid,
@@ -188,6 +190,102 @@ def test_fidr_constant_field_keeps_modes_zero(points):
     for _ in range(20):
         np.testing.assert_array_equal(field.step(np.full(points, c)), 0.0)
     np.testing.assert_array_equal(field.modes, 0.0)
+
+
+class DecayPassHistory(FastHistory):
+    """A fast rule that scales every mode by its decay at every step, the
+    recurrence modes <- decay*modes + coeffs.T @ block of
+    ``mode_step_coeffs`` on true modes, with FastHistory's history reads
+    and its one rank update."""
+
+    def use_kernel(self, soe):
+        self.decay, self.coeffs = mode_step_coeffs(self.scheme, soe.nodes, self.dt)
+        self.weights = soe.weights * ((-self.alpha if self.scheme == "fir" else 1.0) / self.g1)
+        self.soe = soe
+
+    def history_term(self):
+        hist = self.weights @ self.modes
+        if self.scheme == "fir":
+            t_n = (self.step_index + 1) * self.dt
+            hist -= self.u0 * (t_n ** -self.alpha / self.g1)
+        return hist
+
+    def push(self, u):
+        u = np.array(u, dtype=float)
+        block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
+        modes = self.modes.reshape(len(self.modes), -1)
+        modes *= self.decay[:, None]
+        dgemm(1.0, block.reshape(len(block), -1).T, self.coeffs, beta=1.0, c=modes.T,
+              overwrite_c=1)
+        self.anchor, self.step_index = u, self.step_index + 1
+
+
+def fast_field(cls, scheme, alpha, dt, soe, u0):
+    ev = cls(scheme, alpha, dt, u0, soe.n_modes)
+    ev.use_kernel(soe)
+    return ev
+
+
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_stored_modes_fold_twice_and_match_the_recurrence(scheme):
+    """Past two folds of the age-shifted modes, with a period below the cap,
+    a field keeps matching the plain recurrence written from the formulas."""
+    alpha, dt = 0.45, 7e-3   # dt * max(node) <= 8, where the oracle's gains hold
+    soe = build_soe(kernel_order(scheme, alpha), SoEParams(0, 10, 4, 4), dt, 1.0)
+    paths = np.random.default_rng(19).normal(size=(101, 5))  # (steps, points)
+    field = fast_field(FastHistory, scheme, alpha, dt, soe, paths[0])
+    assert 0 < field.period < _PERIOD_CAP and len(paths) - 1 > 2 * (field.period + 1)
+    got = np.array([field.step(u) for u in paths[1:]])
+    want = fast_rule_values(scheme, paths, dt, alpha, soe.nodes, soe.weights)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_modes_whose_decay_underflows_take_the_decay_pass(scheme):
+    """Where s*dt > 745 the decay rounds to 0 and the period is 0: every
+    push is a plain decay pass, finite and equal to it bit for bit."""
+    alpha, dt = 0.45, 1.0
+    soe = build_soe(kernel_order(scheme, alpha), SoEParams(0, 10, 4, 4), dt, 50.0)
+    assert np.any(mode_step_coeffs(scheme, soe.nodes, dt)[0] == 0.0)
+    paths = np.random.default_rng(23).normal(size=(30, 4))
+    field, plain = (fast_field(cls, scheme, alpha, dt, soe, paths[0])
+                    for cls in (FastHistory, DecayPassHistory))
+    assert field.period == 0
+    for u in paths[1:]:
+        got = field.step(u)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(field.modes))
+        np.testing.assert_array_equal(got, plain.step(u))
+    np.testing.assert_array_equal(field.modes, plain.modes)
+
+
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_kernel_switch_starts_from_true_modes(scheme):
+    """A switch to another kernel mid-period first folds the stored modes to
+    their true values: the stream goes on as a decay-pass evaluator's
+    switched at the same step."""
+    alpha, dt = 0.3, 1e-2
+    beta = kernel_order(scheme, alpha)
+    first, second = (build_soe(beta, SoEParams(a, a + 10, 4, 4), dt, 1.0) for a in (0, 1))
+    u = np.random.default_rng(29).normal(size=60)
+    field, plain = (fast_field(cls, scheme, alpha, dt, first, u[0])
+                    for cls in (FastHistory, DecayPassHistory))
+    got, want = [], []
+    for n in range(1, len(u)):
+        if n == 12:
+            assert field.age > 0
+            field.use_kernel(second)
+            plain.use_kernel(second)
+        got.append(field.step(u[n]))
+        want.append(plain.step(u[n]))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_mode_tables_built_once_per_kernel():
+    """Evaluators on one kernel share its read-only tables."""
+    soe = build_soe(0.4, SoEParams(0, 10, 4, 4), 1e-2, 1.0)
+    a, b = (fast_field(FastHistory, "fidr", 0.4, 1e-2, soe, 0.0) for _ in range(2))
+    for mine, theirs in zip((a._coeffs, a._weights, a._powers), (b._coeffs, b._weights, b._powers)):
+        assert mine is theirs and not mine.flags.writeable
 
 
 def test_l1_evaluator_matches_l1_step():
