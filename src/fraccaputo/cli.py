@@ -21,7 +21,7 @@ import numpy as np
 from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
 from .quadrature import ConstructionError
-from .schemes import SCHEMES, TimeGrid, kernel_order
+from .schemes import SCHEMES, TimeGrid, _check_step, kernel_order
 from .soe import SoEParams, build_soe, soe_max_error, tail_integral
 
 EXIT_OK = 0
@@ -107,8 +107,7 @@ def _soe_params(args) -> SoEParams:
 
 def _run(problem, scheme: str, params, dt: float, h: float, T: float):
     """One solve of ``problem`` up to time T with step dt and spacing about h."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_step(dt)
     steps = T / dt
     if not math.isfinite(steps):
         raise ValueError(f"T / dt = {steps} is not a finite step count")

@@ -28,7 +28,7 @@ class ConstructionError(RuntimeError):
     """Raised when a numerical construction (rule, kernel) fails."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadRule:
     """An n-point Gaussian rule for integrands f(s) * s**weight_exponent.
 

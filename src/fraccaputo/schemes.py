@@ -16,9 +16,10 @@ of the modes advances fields and streams (a stream is a field of one point):
 * ``gl``   -- fractional-difference rule with binomial weights over the
   full history (the storage-hungry baseline).
 
-A fast rule's modes decay by d = exp(-s*dt) per step.  ``FastHistory``
-stores them age-shifted, true modes = d**age * stored, so that no step
-scales the (modes x points) array: a push adds its rank update through the
+A fast rule runs on one compressed kernel, fixed before its first step.
+Its modes decay by d = exp(-s*dt) per step.  ``FastHistory`` stores them
+age-shifted, true modes = d**age * stored, so that no step scales the
+(modes x points) array: a push adds its rank update through the
 coefficient row of its age, the history term reads through the weight row
 of its age, and once per period of at most 64 steps (``_PERIOD_CAP``) the
 stored modes are folded back to their true values.  The tables of rows are
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -67,8 +69,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        _check_step(self.dt)
         if self.n_steps < 1:
             raise ValueError("need at least one step")
 
@@ -118,11 +119,9 @@ def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
     return decay, (phi(x) * decay)[None, :]
 
 
-_last_tables = None  # (soe, (scheme, dt, alpha), tables) of the last _mode_tables call
-
-
+@lru_cache(maxsize=1)
 def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
-    """(period F, coefficient rows, weight rows, powers) of the fast rule
+    """(period F, coefficient rows, weight rows, fold row) of the fast rule
     ``scheme`` of order ``alpha`` on ``soe`` at step ``dt``, all read-only.
 
     With d = exp(-s*dt) per mode, F = min(_PERIOD_CAP, floor(ln 2**400 /
@@ -131,28 +130,22 @@ def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
     Row ``age`` of the (F+1, rank, modes) coefficients is coeffs * d**-age
     (``mode_step_coeffs``), row ``age`` of the (F+1, modes) weights is
     d**age times the history weights w/Gamma(1-alpha) (times -alpha for
-    fir), and row a of the (F+2, modes, 1) powers is d**a, the last one
-    d**(F+1), the fold.  They are powers of the rounded d, not
-    exp(-age*s*dt), so that F = 0 repeats the decay pass to the bit and no
-    0 * inf arises where d underflows.
+    fir), and the (modes, 1) fold row is d**(F+1).  They are powers of the
+    rounded d, not exp(-age*s*dt), so that F = 0 repeats the decay pass to
+    the bit and no 0 * inf arises where d underflows.
 
-    The last call's tables are kept, with a reference to its kernel, so
+    The last call's tables are cached, keyed on the kernel's identity, so
     that the many evaluators a suite runs on one kernel build them once.
     """
-    global _last_tables
-    key = (scheme, dt, alpha)
-    if _last_tables is not None and _last_tables[0] is soe and _last_tables[1] == key:
-        return _last_tables[2]
     decay, coeffs = mode_step_coeffs(scheme, soe.nodes, dt)
     x_max = float(soe.nodes[-1]) * dt   # nodes increase
     period = _PERIOD_CAP if x_max * _PERIOD_CAP <= _SCALE_LN else int(_SCALE_LN // x_max)
     powers = decay ** np.arange(period + 2.0)[:, None]
     hist_weights = soe.weights * ((-alpha if scheme == "fir" else 1.0) / math.gamma(1.0 - alpha))
     tables = (period, coeffs / powers[:period + 1, None], hist_weights * powers[:period + 1],
-              powers[:, :, None])
+              powers[period + 1, :, None])
     for table in tables[1:]:
         table.flags.writeable = False
-    _last_tables = (soe, key, tables)
     return tables
 
 
@@ -162,6 +155,11 @@ def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
 def _check_order(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("order must lie in (0, 1)")
+
+
+def _check_step(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"step dt must be positive and finite, got {dt}")
 
 
 def _samples(u, dtype=None) -> np.ndarray:
@@ -176,25 +174,22 @@ def _samples(u, dtype=None) -> np.ndarray:
 
 
 class _Evaluator:
-    """D u^n = sigma * u^n - lag * anchor + history_term() on scalar samples
-    (a stream) or 1-D fields.  lag = sigma, except in fir, whose term
-    boundary * anchor, boundary = sigma - lag, is taken out of its history.
-    The history term is one ``weights @ state`` on contiguous operands and
-    only reads; ``push(u^n)`` alone advances the state.  The solver calls
-    ``known()``, the part of D u^n fixed before the solve, then ``push``; a
-    stream calls ``step(u^n)``, which keeps the local term a difference,
-    sigma * (u^n - anchor) + boundary * anchor + history_term()."""
+    """D u^n = sigma * u^n + known() on scalar samples (a stream) or 1-D
+    fields, where known() = history_term() - lag * anchor is the part of
+    D u^n fixed before u^n.  lag = sigma, except in fir, whose boundary term
+    dt**-alpha/Gamma(1-alpha) * anchor is taken into it.  The history term
+    is one ``weights @ state`` on contiguous operands and only reads;
+    ``push(u^n)`` alone advances the state.  The solver calls ``known()``,
+    solves for u^n, then calls ``push``; ``step(u^n)`` is the same formula
+    on a given sample, followed by its push."""
 
     step_index = 0
-    boundary = 0.0
 
     def known(self):
         return self.history_term() - self.lag * self.anchor
 
     def step(self, u):
-        value = self.sigma * (u - self.anchor) + self.history_term()
-        if self.boundary:
-            value += self.boundary * self.anchor
+        value = self.sigma * u + self.known()
         self.push(u)
         return value
 
@@ -215,7 +210,8 @@ class FastHistory(_Evaluator):
     follow modes <- d*modes + coeffs.T @ block (``mode_step_coeffs``), zero
     at step 1; fir adds the boundary terms of its integration by parts,
     dt**-alpha/Gamma(1-alpha) * u^{n-1}, which its lag alpha*sigma takes in,
-    and -t_n**-alpha/Gamma(1-alpha) * u^0.
+    and -t_n**-alpha/Gamma(1-alpha) * u^0.  It runs on one kernel, bound by
+    ``use_kernel`` before its first step (lazily, by the steppers).
 
     ``modes`` holds the true modes age-shifted, true = d**age * modes, one
     age for all of them.  ``push`` views them as (modes x points), a stream
@@ -230,30 +226,28 @@ class FastHistory(_Evaluator):
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         self.beta = kernel_order(scheme, alpha)
         _check_order(alpha)
+        _check_step(dt)
         self.scheme, self.alpha, self.dt, self.soe, self.age = scheme, alpha, dt, None, 0
         self.u0 = self.anchor = _samples(u0, float)
         self.modes = np.zeros((n_modes,) + self.u0.shape)
         self.g1 = math.gamma(1.0 - alpha)
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
-        self.lag = self.sigma
-        if scheme == "fir":
-            self.lag, self.boundary = alpha * self.sigma, dt ** -alpha / self.g1
+        self.lag = alpha * self.sigma if scheme == "fir" else self.sigma
 
     def use_kernel(self, soe: SoEApproximation) -> None:
-        """Run on ``soe``, a kernel of order ``beta``.  Modes stored under
-        another kernel are first folded to their true values."""
+        """Bind ``soe``, a kernel of order ``beta``, for the state's whole
+        life.  The bound kernel again is a no-op; any other kernel is a
+        ``ValueError``, raised before the state changes."""
         if soe is self.soe:
             return
+        if self.soe is not None:
+            raise ValueError(f"this {self.scheme} state is bound to another kernel")
         if soe.n_modes != len(self.modes):
             raise ValueError("mode count of state and kernel disagree")
         if not math.isclose(soe.beta, self.beta, rel_tol=1e-12):
             raise ValueError(f"{self.scheme} of order {self.alpha} needs a kernel of "
                              f"order {self.beta}, got {soe.beta}")
-        if self.age:
-            modes = self.modes.reshape(len(self.modes), -1)   # a view
-            modes *= self._powers[self.age]
-            self.age = 0
-        self.period, self._coeffs, self._weights, self._powers = _mode_tables(
+        self.period, self._coeffs, self._weights, self._fold = _mode_tables(
             self.scheme, self.alpha, self.dt, soe)
         self.soe = soe
 
@@ -271,7 +265,7 @@ class FastHistory(_Evaluator):
         modes = self.modes.reshape(len(self.modes), -1)   # a view, (modes x points)
         age = self.age + 1
         if age > self.period:
-            modes *= self._powers[age]
+            modes *= self._fold
             age = 0
         # modes.T is Fortran-ordered, so dgemm adds block.T @ coeffs to it in
         # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
@@ -297,6 +291,7 @@ class DirectHistory(_Evaluator):
         if self._table is None:
             raise ValueError(f"{scheme!r} is not a full-history rule (l1 or gl)")
         _check_order(alpha)
+        _check_step(dt)
         self.scheme, self.alpha, self.dt = scheme, alpha, dt
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha) if scheme == "l1" else dt ** -alpha
         self.lag = self.sigma
@@ -379,6 +374,7 @@ def l1_weights(alpha: float, n_max: int) -> DirectHistory:
 def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
     """Direct rule on the full history u^0..u^n (n = len(buffer) - 1):
     dt**-a / Gamma(2-a) * sum_{j<n} w_j (u^{n-j} - u^0), as rev[-n:] @ (u[1:] - u[0])."""
+    _check_step(dt)
     u = np.asarray(buffer, dtype=float)
     n, rev = len(u) - 1, weights.rev
     if n < 1:

@@ -73,11 +73,12 @@ class SoEParams:
         return self.n1 + self.n2 * (self.b - self.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoEApproximation:
     """Compressed kernel: t**-beta ~ sum(weights * exp(-nodes * t)).
 
-    Valid on [delta, horizon] with absolute error at most ``bound``.
+    Valid on [delta, horizon] with absolute error at most ``bound``.  Two
+    kernels are equal only when they are the same object.
     """
 
     beta: float
@@ -150,39 +151,42 @@ def soe_error_bound_terms(
     beta in (1, 2) and beta in (0, 1) use different closed forms; beta = 1
     is outside both and rejected.  With n1 = 0 the low-band term is the
     dropped integral (1/Gamma(beta)) int_0^{2**a} exp(-t*s) s**(beta-1) ds,
-    which decreases in t and so peaks at t = delta.
+    which decreases in t and so peaks at t = delta.  An overflow, of
+    Gamma(beta) or of a term, is a ``ValueError`` naming beta and the window.
     """
     if not (0.0 < beta < 1.0 or 1.0 < beta < 2.0):
         raise ValueError(f"bound is defined for beta in (0,1) or (1,2), got {beta}")
+    a, b, n1, n2 = params.a, params.b, params.n1, params.n2
     try:
         gb = math.gamma(beta)
+        ladder_const = (math.exp(1.0 / math.e) / 4.0) ** (2 * n2)
+        if n1 == 0:
+            low = delta ** -beta * float(gammainc(beta, delta * 2.0 ** a))
+        if beta > 1.0:
+            tail = math.exp(-delta * 2.0 ** b) * 2.0 ** (beta - 1.0) * (
+                2.0 ** (beta * b) / gb + delta ** -beta
+            )
+            if n1 > 0:
+                low = (
+                    2.0 * math.sqrt(math.pi) * 2.0 ** (a * beta) * n1 ** 1.5
+                    * ((math.e / 8.0) * (2.0 ** a * horizon / n1)) ** (2 * n1) / gb
+                )
+            ladder = 2.0 ** (beta - 1.5) * math.pi * 2.0 ** (beta * b) * ladder_const / gb
+        else:
+            tail = math.exp(-delta * 2.0 ** b) / (gb * delta * 2.0 ** ((1.0 - beta) * b))
+            if n1 > 0:
+                low = (
+                    (4.0 * math.sqrt(math.pi) * 2.0 ** (a * beta) / math.e ** 2)
+                    * ((2 * n1 - 1) * n1 ** 1.5 / (2 * n1 + beta))
+                    * ((2.0 ** a * math.e * n1 * horizon) / (2.0 * (2 * n1 - 1) ** 2)) ** (2 * n1)
+                    / gb
+                )
+            ladder = 2.0 * math.sqrt(2.0) * math.pi * 2.0 ** (beta * b) * ladder_const / gb
+        if not math.isfinite(tail + low + ladder):   # a product overflowed without raising
+            raise OverflowError
     except OverflowError:
-        raise ValueError(f"Gamma overflows at kernel order beta = {beta!r}") from None
-    a, b, n1, n2 = params.a, params.b, params.n1, params.n2
-    T = horizon
-    ladder_const = (math.exp(1.0 / math.e) / 4.0) ** (2 * n2)
-    if n1 == 0:
-        low = delta ** -beta * float(gammainc(beta, delta * 2.0 ** a))
-    if beta > 1.0:
-        tail = math.exp(-delta * 2.0 ** b) * 2.0 ** (beta - 1.0) * (
-            2.0 ** (beta * b) / gb + delta ** -beta
-        )
-        if n1 > 0:
-            low = (
-                2.0 * math.sqrt(math.pi) * 2.0 ** (a * beta) * n1 ** 1.5
-                * ((math.e / 8.0) * (2.0 ** a * T / n1)) ** (2 * n1) / gb
-            )
-        ladder = 2.0 ** (beta - 1.5) * math.pi * 2.0 ** (beta * b) * ladder_const / gb
-    else:
-        tail = math.exp(-delta * 2.0 ** b) / (gb * delta * 2.0 ** ((1.0 - beta) * b))
-        if n1 > 0:
-            low = (
-                (4.0 * math.sqrt(math.pi) * 2.0 ** (a * beta) / math.e ** 2)
-                * ((2 * n1 - 1) * n1 ** 1.5 / (2 * n1 + beta))
-                * ((2.0 ** a * math.e * n1 * T) / (2.0 * (2 * n1 - 1) ** 2)) ** (2 * n1)
-                / gb
-            )
-        ladder = 2.0 * math.sqrt(2.0) * math.pi * 2.0 ** (beta * b) * ladder_const / gb
+        raise ValueError(f"the error bound of order beta = {beta!r} with {params} overflows "
+                         f"on the window [{delta!r}, {horizon!r}]") from None
     return tail, low, ladder
 
 

@@ -115,16 +115,20 @@ def test_csv_determinism(tmp_path):
 def test_validation_exit_code(tmp_path, capsys):
     """Bad input, a spacing that is not positive, too wide for 2 cells or
     too small for a finite cell count, a horizon with no finite step count,
-    an empty sweep and a domain for the manufactured problem, whose domain
-    is fixed, included, is exit 2 with a JSON error line: not a traceback,
-    not a run on a clamped or ignored grid and not an empty CSV."""
+    an empty sweep, a domain for the manufactured problem, whose domain is
+    fixed, and a window on which the kernel bound overflows included, is
+    exit 2 with a JSON error line: not a traceback, not a run on a clamped
+    or ignored grid and not an empty CSV."""
     solve = (["--alpha", "1.5"], ["--modes", "17"], ["--dt", "0"], ["--h", "0"],
              ["--h", "-0.001", "--dt", "0.5", "--T", "1"],
              ["--h", "10", "--dt", "0.5", "--T", "1"], ["--h", "inf"],
              ["--scheme", "fidr", "--h", "1e-320", "--dt", "0.5", "--T", "1"],
              ["--T", "inf", "--dt", "0.5", "--h", "0.5"], ["--T", "1e300", "--dt", "1e-300"],
              ["--problem", "manufactured", "--x-lo", "5", "--x-hi", "9", "--h", "0.05"],
-             ["--x-lo", "0", "--h", "0.05"], ["--x-hi", "1", "--h", "0.05"])
+             ["--x-lo", "0", "--h", "0.05"], ["--x-hi", "1", "--h", "0.05"],
+             # fir's kernel bound overflows on these windows
+             ["--scheme", "fir", "--dt", "1e100", "--T", "1e101", "--h", "0.5"],
+             ["--scheme", "fir", "--dt", "1e-300", "--T", "1e-299"])
     convergence = (["--levels", "0"], ["--levels", "-1"], ["--jobs", "0"], ["--jobs", "-1"])
     for argv in [["solve", *a] for a in solve] + [["convergence", *a] for a in convergence]:
         code, out = run_cli(tmp_path, *argv)

@@ -259,33 +259,40 @@ def test_modes_whose_decay_underflows_take_the_decay_pass(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["fir", "fidr"])
-def test_kernel_switch_starts_from_true_modes(scheme):
-    """A switch to another kernel mid-period first folds the stored modes to
-    their true values: the stream goes on as a decay-pass evaluator's
-    switched at the same step."""
+def test_second_kernel_is_refused(scheme):
+    """A state runs on the kernel it was bound to, passed again on every
+    step.  Another kernel, of the same order and size or an equal rebuild,
+    is a ValueError mid-period, and the stream goes on as an untouched
+    twin's, bit for bit."""
     alpha, dt = 0.3, 1e-2
     beta = kernel_order(scheme, alpha)
-    first, second = (build_soe(beta, SoEParams(a, a + 10, 4, 4), dt, 1.0) for a in (0, 1))
-    u = np.random.default_rng(29).normal(size=60)
-    field, plain = (fast_field(cls, scheme, alpha, dt, first, u[0])
-                    for cls in (FastHistory, DecayPassHistory))
-    got, want = [], []
+    first, second, rebuilt = (build_soe(beta, SoEParams(a, a + 10, 4, 4), dt, 1.0)
+                              for a in (0, 1, 0))
+    stepper = fir_step if scheme == "fir" else fidr_step
+    u = np.random.default_rng(29).normal(size=30)
+    state, twin = (new_history(scheme, alpha, dt, u[0], n_modes=first.n_modes) for _ in range(2))
     for n in range(1, len(u)):
         if n == 12:
-            assert field.age > 0
-            field.use_kernel(second)
-            plain.use_kernel(second)
-        got.append(field.step(u[n]))
-        want.append(plain.step(u[n]))
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+            assert state.age > 0
+            for other in (second, rebuilt):
+                with pytest.raises(ValueError, match="bound to another kernel"):
+                    state.use_kernel(other)
+                with pytest.raises(ValueError, match="bound to another kernel"):
+                    stepper(state, other, u[n])
+        assert stepper(state, first, u[n])[0] == stepper(twin, first, u[n])[0]
+    np.testing.assert_array_equal(state.modes, twin.modes)
+    assert (state.soe, state.age, state.step_index) == (twin.soe, twin.age, twin.step_index)
 
 
 def test_mode_tables_built_once_per_kernel():
-    """Evaluators on one kernel share its read-only tables."""
+    """Evaluators on one kernel share its read-only tables, the fold row
+    d**(F+1) included."""
     soe = build_soe(0.4, SoEParams(0, 10, 4, 4), 1e-2, 1.0)
     a, b = (fast_field(FastHistory, "fidr", 0.4, 1e-2, soe, 0.0) for _ in range(2))
-    for mine, theirs in zip((a._coeffs, a._weights, a._powers), (b._coeffs, b._weights, b._powers)):
+    for mine, theirs in zip((a._coeffs, a._weights, a._fold), (b._coeffs, b._weights, b._fold)):
         assert mine is theirs and not mine.flags.writeable
+    decay = mode_step_coeffs("fidr", soe.nodes, 1e-2)[0]
+    np.testing.assert_allclose(a._fold, decay[:, None] ** (a.period + 1), rtol=1e-14)
 
 
 def test_l1_evaluator_matches_l1_step():
@@ -316,20 +323,24 @@ def test_first_step_matches_direct_rule():
 @pytest.mark.parametrize("scheme", ["l1", "gl", "fir", "fidr"])
 def test_known_is_a_pure_read(scheme):
     """From step 3 on, two known() calls in one step agree, and the stream
-    read that way goes on matching an untouched twin bit for bit."""
+    read that way goes on matching an untouched twin bit for bit.  A third
+    twin advanced as the solver does, sigma * u + known() then push(u),
+    gives step(u)'s values bit for bit."""
     alpha, dt = 0.4, 1e-2
     u = np.random.default_rng(9).normal(size=12)
     soe = (build_soe(kernel_order(scheme, alpha), SoEParams.from_ladder(0, 10, 4, 4), dt, 1.0)
            if scheme in ("fir", "fidr") else None)
-    read, twin = (new_history(scheme, alpha, dt, u[0], n_modes=soe.n_modes if soe else 0)
-                  for _ in range(2))
-    for ev in (read, twin):
+    read, twin, solver = (new_history(scheme, alpha, dt, u[0], n_modes=soe.n_modes if soe else 0)
+                          for _ in range(3))
+    for ev in (read, twin, solver):
         if soe is not None:
             ev.use_kernel(soe)
     for n in range(1, len(u)):
         if n >= 3:
             np.testing.assert_array_equal(read.known(), read.known())
-        assert read.step(u[n]) == twin.step(u[n])
+        value = solver.sigma * u[n] + solver.known()
+        solver.push(u[n])
+        assert read.step(u[n]) == twin.step(u[n]) == value
 
 
 def test_fir_tracks_direct_within_kernel_budget():
@@ -558,8 +569,8 @@ def test_linearity_of_all_schemes(scheme, alpha, log_dt, n, seed, a, b, complex_
 def test_timegrid_contract():
     g = TimeGrid(0.1, 10)
     assert abs(g.horizon - 1.0) < 1e-12
-    for dt in (-0.1, 0.0, math.nan):
-        with pytest.raises(ValueError):
+    for dt in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
             TimeGrid(dt, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.1, 0)
@@ -571,6 +582,12 @@ def test_history_state_validation():
     for scheme in ("l1", "gl", "fir", "fidr"):   # samples are scalars or 1-D fields
         with pytest.raises(ValueError):
             new_history(scheme, 0.5, 0.1, np.zeros((2, 3)), n_modes=4)
+        for dt in (-0.1, 0.0, math.nan, math.inf):   # the step is positive and finite
+            with pytest.raises(ValueError, match="positive and finite"):
+                new_history(scheme, 0.5, dt, 1.0, n_modes=4)
+    for dt in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            l1_step(l1_weights(0.5, 2), [0.0, 1.0], dt)
 
 
 @pytest.mark.parametrize("scheme", ["fir", "fidr"])

@@ -239,6 +239,24 @@ def test_build_validation():
         build_soe(1.1, BENCH, 1.0, 0.5)
     with pytest.raises(ValueError):
         build_soe(1.0, BENCH, 1e-2, 1.0)   # bound undefined at beta = 1
+    with pytest.raises(ValueError, match=r"overflows on the window \[1e\+305, 1e\+306\]"):
+        build_soe(1.5, BENCH, 1e305, 1e306)   # the low-band term overflows
+    with pytest.raises(ValueError, match="overflows on the window"):
+        # each factor of the low-band term is finite, their product is not
+        build_soe(1.5, SoEParams(664, 665, 1, 3), 1e-196, 7e-196)
+
+
+@pytest.mark.parametrize("build", [lambda: gauss_legendre(4, 0.0, 1.0),
+                                   lambda: build_soe(0.5, BENCH, 1e-2, 1.0)],
+                         ids=["QuadRule", "SoEApproximation"])
+def test_array_records_compare_by_identity(build):
+    """Rules and kernels hold arrays: == and hash go by identity, so two
+    equal builds are distinct set members rather than an ambiguous truth
+    value."""
+    one, other = build(), build()
+    assert one == one and one != other
+    assert hash(one) == hash(one)
+    assert one in {one} and other not in {one} and len({one, other}) == 2
 
 
 def test_nodes_positive_increasing():
