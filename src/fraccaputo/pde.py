@@ -206,18 +206,18 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     t_start = time.perf_counter()
     for n in range(1, n_steps + 1):
         t_n = n * dt
-        r = interior.known()
+        rhs = interior.known()   # a fresh array, so the rhs is assembled in it
         r_b = boundary.known()
-        rhs = np.asarray(problem.source(x, t_n, u), dtype=float) - r
+        np.subtract(problem.source(x, t_n, u), rhs, out=rhs)
         rhs[0] -= (2.0 / h) * r_b[0]
         rhs[-1] -= (2.0 / h) * r_b[1]
         # LAPACK does not check its input, so a blow-up surfaces here as a
-        # numerical error
+        # numerical error; a NaN or an infinity reaches the max or the min
         u = solve_banded(lu, rhs)
-        if not np.all(np.isfinite(u)):
+        if not (np.isfinite(u.max()) and np.isfinite(u.min())):
             raise FloatingPointError(f"{scheme} field is not finite at step {n} (t = {t_n:g})")
         interior.push(u)
-        boundary.push(u[[0, -1]])
+        boundary.push(u[::len(u) - 1])   # the view (u_0, u_P)
         if problem.exact is not None:
             err_sq, ex_sq = _norm_terms(u, problem.exact(x, t_n), dt)
             err_sq_sum += err_sq
@@ -284,13 +284,20 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
             grid_x = x
         return grid_factors
 
+    # in place, in the order of q_e t**(3+alpha) + q and a t**3 - (b t**(3+alpha) + c)
     def exact(x, t):
         *_, q_e, q = factors(x)
-        return q_e * t ** (3.0 + alpha) + q
+        out = q_e * t ** (3.0 + alpha)
+        out += q
+        return out
 
     def source(x, t, u):
         a, b, c, _, _ = factors(x)
-        return a * t ** 3 - (b * t ** (3.0 + alpha) + c)
+        tail = b * t ** (3.0 + alpha)
+        tail += c
+        out = a * t ** 3
+        out -= tail
+        return out
 
     return DiffusionProblem(alpha, 0.0, pi, lambda x: exact(x, 0.0), source, exact)
 
@@ -318,4 +325,8 @@ def _norm_terms(u: np.ndarray, u_ex, dt: float) -> tuple:
     """One step's terms dt * max|u - u_ex|**2 and dt * max|u_ex|**2 of the
     global error and of the exact solution's norm."""
     u_ex = np.asarray(u_ex, dtype=float)
-    return dt * float(np.max(np.abs(u - u_ex))) ** 2, dt * float(np.max(np.abs(u_ex))) ** 2
+    work = np.subtract(u, u_ex)
+    np.abs(work, out=work)
+    # max|u_ex| without a second buffer; a NaN in u_ex reaches the max
+    ex_max = max(u_ex.max(), -u_ex.min())
+    return dt * float(work.max()) ** 2, dt * float(ex_max) ** 2

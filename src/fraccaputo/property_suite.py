@@ -17,6 +17,7 @@ case.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -198,12 +199,16 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     those in ``step_filter``) the rule's output is compared against the
     analytic derivative; the gap must stay below the closed-form bound
     (plus the certified kernel term for the increment-based fast rule).
+    A step that is not an integer in 1..1000 is a ``ValueError``.
     """
     scheme = variant.lower()
     if scheme not in ("l1", "fidr"):
         raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
     dt, n_max = 1e-3, 1000
-    steps = [int(n) for n in (range(1, n_max + 1) if step_filter is None else step_filter)]
+    steps = range(1, n_max + 1) if step_filter is None else list(step_filter)
+    for n in steps:
+        if not (isinstance(n, numbers.Integral) and 1 <= n <= n_max):
+            raise ValueError(f"steps must be integers in 1..{n_max}, got {n!r}")
     t = dt * np.arange(n_max + 1)
     violations = []
     checked = 0
@@ -224,7 +229,7 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
                                        eps0=soe.bound if soe is not None else 0.0)
                 gap = abs(vals[n - 1] - ref(n))
                 if gap > bnd:
-                    violations.append({"alpha": alpha, "n": n, "gap": gap, "bound": bnd})
+                    violations.append({"alpha": alpha, "n": int(n), "gap": gap, "bound": bnd})
     return _verdict(f"truncation_{scheme}", checked, violations)
 
 

@@ -5,9 +5,12 @@ Two families are provided: Gauss-Legendre on an arbitrary interval
 (gamma in (-1, 1)).  Both are built with the Golub-Welsch algorithm:
 the symmetric tridiagonal matrix of three-term recurrence coefficients
 is diagonalized, eigenvalues give the nodes and the squared first
-eigenvector components give the weights.  The canonical Legendre rule
-on [-1, 1] is solved once per size and kept read-only, as a kernel's
-dyadic ladder maps the same rule to each of its intervals.
+eigenvector components give the weights.  Each family's rule on
+[-1, 1] is solved once and kept read-only: Legendre once per size, as a
+kernel's dyadic ladder maps the same rule to each of its intervals, and
+Jacobi once per (size, gamma), as the power weight's [0, a] enters only
+through the affine map of the nodes and a scale of the weights.  A mapped
+rule is the caller's own, and equal bit for bit to one solved afresh.
 """
 from __future__ import annotations
 
@@ -143,12 +146,22 @@ def gauss_jacobi_power(n: int, gamma: float, a: float) -> QuadRule:
         raise ValueError(f"weight exponent must lie in (-1, 1), got {gamma}")
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
+    x, v0sq = _jacobi(n, gamma)
+    nodes = a * (1.0 + x) / 2.0
+    weights = a ** (gamma + 1.0) / (gamma + 1.0) * v0sq
+    return QuadRule(nodes, weights, (0.0, a), gamma)
+
+
+@lru_cache(maxsize=256)
+def _jacobi(n: int, gamma: float):
+    """Nodes x and first-component weights v0**2 of the n-point Gauss-Jacobi
+    rule for the weight (1+x)**gamma on [-1, 1], read-only arrays computed
+    once per (n, gamma)."""
     k = np.arange(1.0, n)
     diag = np.empty(n)
     diag[0] = gamma / (gamma + 2.0)
     diag[1:] = gamma * gamma / ((2.0 * k + gamma) * (2.0 * k + gamma + 2.0))
     off = 2.0 * k * (k + gamma) / ((2.0 * k + gamma) * np.sqrt((2.0 * k + gamma) ** 2 - 1.0))
     x, v0sq = _golub_welsch(diag, off, "Jacobi")
-    nodes = a * (1.0 + x) / 2.0
-    weights = a ** (gamma + 1.0) / (gamma + 1.0) * v0sq
-    return QuadRule(nodes, weights, (0.0, a), gamma)
+    x.flags.writeable = v0sq.flags.writeable = False
+    return x, v0sq

@@ -178,15 +178,18 @@ class _Evaluator:
     fields, where known() = history_term() - lag * anchor is the part of
     D u^n fixed before u^n.  lag = sigma, except in fir, whose boundary term
     dt**-alpha/Gamma(1-alpha) * anchor is taken into it.  The history term
-    is one ``weights @ state`` on contiguous operands and only reads;
-    ``push(u^n)`` alone advances the state.  The solver calls ``known()``,
-    solves for u^n, then calls ``push``; ``step(u^n)`` is the same formula
-    on a given sample, followed by its push."""
+    is one ``weights.dot(state)`` (``@``'s BLAS call, less call overhead) on
+    contiguous operands and only reads; ``push(u^n)`` alone advances the
+    state.  The solver calls ``known()``, solves for u^n, then calls
+    ``push``; ``step(u^n)`` is the same formula on a given sample, followed
+    by its push."""
 
     step_index = 0
 
     def known(self):
-        return self.history_term() - self.lag * self.anchor
+        hist = self.history_term()   # a fresh value, so updated in place
+        hist -= self.lag * self.anchor
+        return hist
 
     def step(self, u):
         value = self.sigma * u + self.known()
@@ -228,8 +231,10 @@ class FastHistory(_Evaluator):
         _check_order(alpha)
         _check_step(dt)
         self.scheme, self.alpha, self.dt, self.soe, self.age = scheme, alpha, dt, None, 0
-        self.u0 = self.anchor = _samples(u0, float)
-        self.modes = np.zeros((n_modes,) + self.u0.shape)
+        self.u0 = self.anchor = _samples(u0, float)[()]
+        self.modes = np.zeros((n_modes,) + np.shape(self.u0))
+        # the (points x modes) view of modes that push updates, Fortran-ordered
+        self._cols = self.modes.reshape(n_modes, -1).T
         self.g1 = math.gamma(1.0 - alpha)
         self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
         self.lag = alpha * self.sigma if scheme == "fir" else self.sigma
@@ -252,7 +257,7 @@ class FastHistory(_Evaluator):
         self.soe = soe
 
     def history_term(self):
-        hist = self._weights[self.age] @ self.modes
+        hist = self._weights[self.age].dot(self.modes)
         if self.scheme == "fir":
             # the u^0 boundary term of the integration by parts
             t_n = (self.step_index + 1) * self.dt
@@ -260,17 +265,16 @@ class FastHistory(_Evaluator):
         return hist
 
     def push(self, u) -> None:
-        u = _samples(u, float)
+        u = _samples(u, float)[()]
         block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
-        modes = self.modes.reshape(len(self.modes), -1)   # a view, (modes x points)
         age = self.age + 1
         if age > self.period:
-            modes *= self._fold
+            self._cols *= self._fold.T
             age = 0
-        # modes.T is Fortran-ordered, so dgemm adds block.T @ coeffs to it in
+        # _cols is Fortran-ordered, so dgemm adds block.T @ coeffs to it in
         # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
         # 100x slower at 3143 points x 25 modes on a 2-core host
-        dgemm(1.0, block.reshape(len(block), -1).T, self._coeffs[age], beta=1.0, c=modes.T,
+        dgemm(1.0, block.reshape(len(block), -1).T, self._coeffs[age], beta=1.0, c=self._cols,
               overwrite_c=1)
         self.anchor, self.step_index, self.age = u, self.step_index + 1, age
 
@@ -284,7 +288,8 @@ class DirectHistory(_Evaluator):
     reversed and contiguous, so step n contracts rev[L-1-n : L-1] @ hist[:n].
     ``push``, the only mutator, doubles ``hist`` when full and rebuilds
     ``rev`` to match; ``n_steps`` sizes both for a run of known length.
-    Samples keep their dtype (real or complex)."""
+    Samples keep their dtype (real or complex), and ``rev`` is cast, exactly,
+    to that dtype, so that a complex contraction casts no slice per step."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_steps: int = 1):
         self._table = {"l1": _l1_coefficients, "gl": gl_coefficients}.get(scheme)
@@ -298,17 +303,17 @@ class DirectHistory(_Evaluator):
         # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
         self.anchor = _samples(u0)[()]
         self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
-        self.rev = self._table(alpha, n_steps + 1)[::-1].copy()
+        self.rev = self._table(alpha, n_steps + 1)[::-1].astype(self.hist.dtype)
 
     def history_term(self):
         n, top = self.step_index + 1, len(self.rev) - 1
-        return self.sigma * (self.rev[top - n: top] @ self.hist[:n])
+        return self.sigma * self.rev[top - n: top].dot(self.hist[:n])
 
     def push(self, u) -> None:
         k = self.step_index = self.step_index + 1
         if k == len(self.hist):
             self.hist = np.concatenate([self.hist, np.empty_like(self.hist)])
-            self.rev = self._table(self.alpha, 2 * k)[::-1].copy()
+            self.rev = self._table(self.alpha, 2 * k)[::-1].astype(self.hist.dtype)
         self.hist[k] = u - self.anchor
 
 
@@ -382,7 +387,7 @@ def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
     if len(rev) < n or weights.scheme != "l1":
         raise ValueError(f"need an l1 table of {n} weights, have a {weights.scheme} one of {len(rev)}")
     sigma = dt ** -weights.alpha / math.gamma(2.0 - weights.alpha)
-    return float(sigma * (rev[-n:] @ (u[1:] - u[0])))
+    return float(sigma * rev[-n:].dot(u[1:] - u[0]))
 
 
 # ---------------------------------------------------------------------------

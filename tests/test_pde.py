@@ -56,6 +56,22 @@ def test_blowup_raises_numerical_error():
         solve(prob, TimeGrid(0.1, 20), SpaceGrid(0.0, 1.0, 40), "fidr", BENCH)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_source_fails_at_its_step(bad):
+    """One non-finite forcing value at one interior point, from step 6 on,
+    stops the solve at step 6."""
+    def source(x, t, u):
+        f = np.zeros_like(x)
+        if t > 0.27:   # t_6 = 0.3 at dt = 0.05
+            f[7] = bad
+        return f
+
+    prob = DiffusionProblem(0.4, 0.0, 1.0, lambda x: np.sin(PI * x), source)
+    for scheme, params in (("l1", None), ("fidr", BENCH)):
+        with pytest.raises(FloatingPointError, match="not finite at step 6 "):
+            solve(prob, TimeGrid(0.05, 12), SpaceGrid(0.0, 1.0, 16), scheme, params)
+
+
 def test_manufactured_initial_slice():
     prob = manufactured_problem(0.3)
     x = np.array([0.0, PI / 2.0, PI])

@@ -10,6 +10,8 @@ from fraccaputo.property_suite import (
     summation_by_parts_suite,
     truncation_suite,
 )
+from fraccaputo.quadrature import _jacobi
+from fraccaputo.schemes import _mode_tables
 from fraccaputo.soe import SoEParams, build_soe
 
 
@@ -59,6 +61,14 @@ def test_truncation_suites_pass_quick():
         truncation_suite(variant="GL")
 
 
+@pytest.mark.parametrize("steps", [[-3], [1001], [2.7]], ids=["negative", "past-end", "fraction"])
+def test_truncation_steps_must_be_integers_in_range(steps):
+    # unchecked, -3 would index step 997, 1001 would index past the path and
+    # 2.7 would check step 2
+    with pytest.raises(ValueError, match="integers in 1..1000"):
+        truncation_suite(step_filter=steps)
+
+
 def test_gl_stability_passes():
     res = gl_stability_suite(seed=42)
     assert res["status"] == "pass"
@@ -72,3 +82,13 @@ def test_runner_deterministic_under_seed():
     assert a["all_pass"]
     c = run_property_suite(8, quick=True)
     assert c["seed"] != a["seed"]
+
+
+def test_ledger_does_not_depend_on_warm_caches():
+    """The Jacobi rules and the fast rules' mode tables are cached; a ledger
+    computed from cold caches equals one computed from warm ones."""
+    _jacobi.cache_clear()
+    _mode_tables.cache_clear()
+    cold = run_property_suite(3, quick=True)
+    assert cold == run_property_suite(3, quick=True)
+    assert cold["all_pass"]

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fraccaputo.quadrature import ConstructionError, _legendre, gauss_jacobi_power, gauss_legendre
+from scipy.linalg import eigh_tridiagonal
+
+from fraccaputo.quadrature import (
+    ConstructionError,
+    _jacobi,
+    _legendre,
+    gauss_jacobi_power,
+    gauss_legendre,
+)
 
 from oracles import adaptive_simpson, singular_power_integral
 
@@ -31,6 +39,39 @@ def test_canonical_legendre_rule_is_cached_read_only():
     np.testing.assert_array_equal(rule.nodes, x)
     rule.nodes[0] = 0.0
     assert x[0] != 0.0
+
+
+def uncached_jacobi_power(n, gamma, a):
+    """Golub-Welsch for the weight s**gamma on [0, a], solved afresh: the
+    monic Jacobi recurrence on [-1, 1] mapped by s = a (1 + x) / 2."""
+    k = np.arange(1.0, n)
+    diag = np.empty(n)
+    diag[0] = gamma / (gamma + 2.0)
+    diag[1:] = gamma * gamma / ((2.0 * k + gamma) * (2.0 * k + gamma + 2.0))
+    off = 2.0 * k * (k + gamma) / ((2.0 * k + gamma) * np.sqrt((2.0 * k + gamma) ** 2 - 1.0))
+    x, vec = eigh_tridiagonal(diag, off)
+    return a * (1.0 + x) / 2.0, a ** (gamma + 1.0) / (gamma + 1.0) * vec[0] ** 2
+
+
+def test_jacobi_rule_is_cached_read_only():
+    """Each (n, gamma) rule on [-1, 1] is solved once and shared: its arrays
+    cannot be written, the rules mapped from it are the caller's own, and
+    they equal a rule solved afresh bit for bit, whatever a."""
+    x, v0sq = _jacobi(6, -0.3)
+    assert _jacobi(6, -0.3)[0] is x
+    for shared in (x, v0sq):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    kept = x.copy(), v0sq.copy()
+    rule = gauss_jacobi_power(6, -0.3, 2.0)
+    rule.nodes[:] = rule.weights[:] = 0.0
+    np.testing.assert_array_equal((x, v0sq), kept)
+    for n, gamma, a in ((1, 0.5, 1.0), (6, -0.3, 2.0), (6, -0.3, 1e-3), (16, -0.9, 7.5),
+                        (64, 0.2, 0.125)):
+        rule = gauss_jacobi_power(n, gamma, a)
+        nodes, weights = uncached_jacobi_power(n, gamma, a)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
 
 
 def test_legendre_cubic_exact():

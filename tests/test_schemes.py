@@ -455,6 +455,23 @@ def test_gl_buffer_grows_per_step():
     assert state.step_index == 2
 
 
+def test_complex_gl_weights_take_the_samples_dtype():
+    """A complex gl stream holds its weights as complex across each doubling
+    of its history, and its history terms equal the contraction of the
+    real weight table bit for bit: the cast to complex is exact."""
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=40) + 1j * rng.normal(size=40)
+    state = DirectHistory("gl", 0.6, 0.01, u[0])   # hist doubles at steps 2, 4, .., 32
+    for n in range(1, len(u)):
+        assert state.rev.dtype == state.hist.dtype == complex
+        real_rev = gl_coefficients(0.6, len(state.rev) - 1)[::-1].copy()
+        top = len(real_rev) - 1
+        want = state.sigma * (real_rev[top - n: top] @ state.hist[:n])
+        assert state.history_term() == want
+        state.push(u[n])
+    assert len(state.hist) == 64
+
+
 def test_gl_rejects_out_of_range_order():
     state = new_history("GL", 0.5, 0.1, 0.0)
     with pytest.raises(ValueError):
