@@ -178,7 +178,7 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         raise ValueError("initial data is not finite on the grid")
     if problem.exact is not None:
         mismatch = np.max(np.abs(np.asarray(problem.exact(x, 0.0)) - u0))
-        if mismatch > 1e-10 * max(1.0, np.max(np.abs(u0))):
+        if not mismatch <= 1e-10 * max(1.0, np.max(np.abs(u0))):  # a NaN fails too
             raise ValueError("exact solution disagrees with initial data at t=0")
 
     evaluators, kernels = [], []

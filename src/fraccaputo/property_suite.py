@@ -62,7 +62,7 @@ def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,
                      eps0: float = 0.0) -> float:
     """One-step consistency bound of the direct rule (``l1``), plus the
     kernel term eps0 * t_prev * max|u'| / Gamma(1-alpha) for the
-    increment-based fast rule (``fidr``)."""
+    increment-based fast rule (``fidr``), elementwise in arrays max_u1, t_prev."""
     _check_order(alpha)
     base = (
         dt ** (2.0 - alpha)
@@ -88,7 +88,7 @@ def _verdict(name: str, checked: int, violations: list, **extra) -> dict:
 
 
 def _run(scheme: str, alpha: float, g: np.ndarray, dt: float, soe=None) -> np.ndarray:
-    """The rule's values D g^1 .. D g^n, streamed over the stored path g."""
+    """The rule's values D g^1 .. D g^n, streamed over the path g of scalar or field rows."""
     ev = new_history(scheme, alpha, dt, g[0], n_modes=0 if soe is None else soe.n_modes)
     if soe is not None:
         ev.use_kernel(soe)
@@ -111,16 +111,13 @@ def _coercivity(scheme: str, seed: int) -> dict:
     if mu <= 0.0 or (scheme == "fidr" and eps > alpha / ((1.0 - alpha) * dt ** alpha)):
         return {"name": name, "status": "inadmissible", "checked": 0, "violations": [],
                 **eps_entry}
-    rng = np.random.default_rng(seed)
-    violations = []
-    for k in range(_N_FUNCS):
-        g = rng.normal(size=n_steps + 1)
-        g[0] = 2.0 * rng.normal()
-        vals = _run(scheme, alpha, g, dt, soe)
-        lhs = dt * float(np.dot(vals, g[1:]))
-        rhs = mu / 2.0 * dt * float(np.sum(g[1:] ** 2)) - rho * g[0] ** 2
-        if lhs < rhs - _SLACK * max(1.0, abs(rhs)):
-            violations.append({"instance": k, "lhs": lhs, "rhs": rhs})
+    # row k draws instance k: n+1 samples, then g^0 / 2 in place of the first
+    draws = np.random.default_rng(seed).normal(size=(_N_FUNCS, n_steps + 2))
+    g = np.vstack([2.0 * draws[:, -1], draws.T[1:-1]])   # the instances as one field
+    lhs = dt * np.sum(_run(scheme, alpha, g, dt, soe) * g[1:], axis=0)
+    rhs = mu / 2.0 * dt * np.sum(g[1:] ** 2, axis=0) - rho * g[0] ** 2
+    bad = np.flatnonzero(lhs < rhs - _SLACK * np.maximum(1.0, np.abs(rhs)))
+    violations = [{"instance": int(k), "lhs": float(lhs[k]), "rhs": float(rhs[k])} for k in bad]
     return _verdict(name, _N_FUNCS, violations, **eps_entry)
 
 
@@ -209,27 +206,26 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     for n in steps:
         if not (isinstance(n, numbers.Integral) and 1 <= n <= n_max):
             raise ValueError(f"steps must be integers in 1..{n_max}, got {n!r}")
+    steps = np.array(steps, dtype=np.intp)
     t = dt * np.arange(n_max + 1)
+    t_n, t_prev = t[steps], t[steps - 1]
     violations = []
     checked = 0
     for alpha in (0.1, 0.5, 0.9):
         soe = (build_soe(alpha, SoEParams(0, 15, 8, 6), dt, n_max * dt)
                if scheme == "fidr" else None)
-        for u, m2, ref in (
-            (t ** 2, 2.0, lambda n: caputo_reference("power", alpha, t[n], sigma=2.0)),
-            (np.sin(t), 1.0, lambda n: caputo_reference("sin", alpha, t[n])),
+        # (u, max|u''|, max|u'| on [0, t_{n-1}], reference D u(t_n)) per step n
+        for u, m2, m1, ref in (
+            (t ** 2, 2.0, 2.0 * t_prev, caputo_reference("power", alpha, t_n, sigma=2.0)),
+            (np.sin(t), 1.0, 1.0, caputo_reference("sin", alpha, t_n)),
         ):
-            vals = _run(scheme, alpha, u, dt, soe)
-            for n in steps:
-                checked += 1
-                # max|u'| on [0, t_{n-1}]: 1 for sin, 2 t_{n-1} for t**2
-                bnd = truncation_bound(scheme, alpha, dt, m2,
-                                       max_u1=1.0 if m2 == 1.0 else 2.0 * t[n - 1],
-                                       t_prev=(n - 1) * dt,
-                                       eps0=soe.bound if soe is not None else 0.0)
-                gap = abs(vals[n - 1] - ref(n))
-                if gap > bnd:
-                    violations.append({"alpha": alpha, "n": int(n), "gap": gap, "bound": bnd})
+            gap = np.abs(_run(scheme, alpha, u, dt, soe)[steps - 1] - ref)
+            checked += gap.size
+            bnd = np.broadcast_to(truncation_bound(
+                scheme, alpha, dt, m2, max_u1=m1, t_prev=t_prev,
+                eps0=soe.bound if soe is not None else 0.0), gap.shape)
+            violations += [{"alpha": alpha, "n": int(steps[i]), "gap": float(gap[i]),
+                            "bound": float(bnd[i])} for i in np.flatnonzero(gap > bnd)]
     return _verdict(f"truncation_{scheme}", checked, violations)
 
 

@@ -72,6 +72,17 @@ def test_non_finite_source_fails_at_its_step(bad):
             solve(prob, TimeGrid(0.05, 12), SpaceGrid(0.0, 1.0, 16), scheme, params)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_exact_solution_at_t0_is_rejected(bad):
+    """An exact solution that is not finite at t = 0 cannot match the
+    initial data; a NaN mismatch must not slip through the tolerance test."""
+    prob = DiffusionProblem(0.5, 0.0, 1.0, lambda x: np.zeros_like(x),
+                            lambda x, t, u: np.zeros_like(x),
+                            exact=lambda x, t: np.full_like(x, bad))
+    with pytest.raises(ValueError, match="disagrees with initial data"):
+        solve(prob, TimeGrid(0.1, 3), SpaceGrid(0.0, 1.0, 4), "l1")
+
+
 def test_manufactured_initial_slice():
     prob = manufactured_problem(0.3)
     x = np.array([0.0, PI / 2.0, PI])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fraccaputo import property_suite
@@ -11,7 +12,7 @@ from fraccaputo.property_suite import (
     truncation_suite,
 )
 from fraccaputo.quadrature import _jacobi
-from fraccaputo.schemes import _mode_tables
+from fraccaputo.schemes import _mode_tables, kernel_order
 from fraccaputo.soe import SoEParams, build_soe
 
 
@@ -92,3 +93,40 @@ def test_ledger_does_not_depend_on_warm_caches():
     cold = run_property_suite(3, quick=True)
     assert cold == run_property_suite(3, quick=True)
     assert cold["all_pass"]
+
+
+@pytest.mark.parametrize("scheme, suite", [("fir", fir_coercivity_suite),
+                                           ("fidr", fidr_coercivity_suite)], ids=["fir", "fidr"])
+def test_coercivity_suite_fails_on_a_wrong_rule(scheme, suite, monkeypatch):
+    """A negated rule makes dt * sum (D g^k) g^k negative, so the suite must
+    fail; the instances it reports are those a one-at-a-time draw makes."""
+    right = property_suite._run
+    monkeypatch.setattr(property_suite, "_run", lambda *a: -right(*a))
+    res = suite(seed=5)
+    assert res["status"] == "fail" and len(res["violations"]) >= 2
+    alpha, dt = 0.3, 0.05
+    soe = build_soe(kernel_order(scheme, alpha), SoEParams(0, 12, 6, 10), dt, 20 * dt)
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(100):
+        g = rng.normal(size=21)
+        g[0] = 2.0 * rng.normal()
+        draws.append(g)
+    for v in (res["violations"][0], res["violations"][-1]):
+        g = draws[v["instance"]]
+        lhs = dt * float(np.dot(-right(scheme, alpha, g, dt, soe), g[1:]))
+        assert abs(lhs - v["lhs"]) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("variant", ["l1", "fidr"])
+def test_truncation_suite_fails_on_a_wrong_rule(variant, monkeypatch):
+    """A rule off by 1e-3 at every step breaks the one-step bound: at step 1
+    for every order and function (t_prev = 0 leaves no kernel term, and the
+    bound is below 1e-3 there), at the later steps where the bound is tight."""
+    right = property_suite._run
+    monkeypatch.setattr(property_suite, "_run", lambda *a: right(*a) + 1e-3)
+    res = truncation_suite(variant, step_filter=[1, 500, 1000])
+    assert res["status"] == "fail"
+    assert res["checked"] == 18
+    assert sum(v["n"] == 1 for v in res["violations"]) == 6
+    assert all(v["gap"] > v["bound"] for v in res["violations"])

@@ -495,6 +495,21 @@ def test_reference_sin_vs_graded_trapezoid():
     assert abs(got - CAPUTO_SIN_03_07) < 1e-8
 
 
+@pytest.mark.parametrize("family, sigma", [("power", 2.0), ("sin", None)])
+def test_reference_takes_arrays_of_times(family, sigma):
+    """An array of times gives, element by element, the scalar calls'
+    values; a scalar or 0-d time gives a Python float."""
+    t = np.array([[1e-3, 0.05], [0.7, 3.0]])
+    got = caputo_reference(family, 0.3, t, sigma=sigma)
+    assert got.shape == t.shape
+    want = [[caputo_reference(family, 0.3, float(v), sigma=sigma) for v in row] for row in t]
+    np.testing.assert_array_equal(got, want)
+    for scalar in (0.7, np.float64(0.7), np.array(0.7)):
+        assert type(caputo_reference(family, 0.3, scalar, sigma=sigma)) is float
+    with pytest.raises(ValueError, match="t > 0"):
+        caputo_reference(family, 0.3, np.array([0.5, 0.0, 1.0]), sigma=sigma)
+
+
 def test_reference_oracle_value_is_current():
     val = caputo_graded_trapezoid(np.cos, 0.3, 0.7, n=500_000)
     assert abs(val - CAPUTO_SIN_03_07) < 1e-7
@@ -510,6 +525,9 @@ def test_reference_validation():
     # at t = 100 the 64-node rule still misses 1e-10 by far
     with pytest.raises(ConstructionError, match="stalled"):
         caputo_reference("sin", 0.5, 100.0)
+    # one time past the rule's reach fails the whole array
+    with pytest.raises(ConstructionError, match="stalled"):
+        caputo_reference("sin", 0.5, np.array([0.5, 100.0, 1.0]))
 
 
 @pytest.mark.parametrize("make, name", [
@@ -591,6 +609,11 @@ def test_timegrid_contract():
             TimeGrid(dt, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.1, 0)
+    # a step count that is no integer fails here, not as a TypeError in solve
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TimeGrid(0.1, n)
+    assert TimeGrid(0.1, np.int64(4)).n_steps == 4
 
 
 def test_history_state_validation():
