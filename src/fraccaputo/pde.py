@@ -166,13 +166,17 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     if scheme in ("fir", "fidr") and soe_params is None:
         raise ValueError(f"scheme {scheme!r} needs kernel partition parameters")
+    if scheme in ("fir", "fidr") and tgrid.n_steps < 2:
+        raise ValueError(f"scheme {scheme!r} needs at least 2 steps: with one step "
+                         f"its kernel window [dt, T] = [{tgrid.dt!r}, {tgrid.horizon!r}] is empty")
     if not (math.isclose(problem.x_lo, sgrid.x_lo) and math.isclose(problem.x_hi, sgrid.x_hi)):
         raise ValueError("space grid does not cover the problem domain")
 
     alpha = problem.alpha
     dt, n_steps = tgrid.dt, tgrid.n_steps
     h = sgrid.h
-    x = sgrid.points()
+    x = sgrid.points().copy()   # linspace returns a view; the copy owns its data
+    x.flags.writeable = False   # one grid, owned and read-only, for every call below
     u0 = np.asarray(problem.initial(x), dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial data is not finite on the grid")
@@ -214,7 +218,7 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         # LAPACK does not check its input, so a blow-up surfaces here as a
         # numerical error; a NaN or an infinity reaches the max or the min
         u = solve_banded(lu, rhs)
-        if not (np.isfinite(u.max()) and np.isfinite(u.min())):
+        if not (math.isfinite(u.max()) and math.isfinite(u.min())):
             raise FloatingPointError(f"{scheme} field is not finite at step {n} (t = {t_n:g})")
         interior.push(u)
         boundary.push(u[::len(u) - 1])   # the view (u_0, u_P)
@@ -261,26 +265,35 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
     pi = math.pi
     g4a = math.gamma(4.0 + alpha)
 
+    def grid_values(x):
+        ex = np.exp(-x)
+        q = x ** 4 * (pi - x) ** 4
+        s = x ** 2 * (pi - x) ** 2
+        poly = (
+            x ** 2 * (56.0 - 16.0 * x + x ** 2)
+            - 2.0 * pi * x * (28.0 - 12.0 * x + x ** 2)
+            + pi ** 2 * (12.0 - 8.0 * x + x ** 2)
+        )
+        return (g4a / 6.0 * q * ex, s * ex * poly,
+                4.0 * s * (3.0 * pi ** 2 - 14.0 * pi * x + 14.0 * x ** 2), q * ex, q)
+
     grid_x, grid_factors = None, None
 
     def factors(x):
         """x-only factors (a, b, c, q_e, q) of source = a t**3 - (b t**(3+alpha)
         + c) and exact = q_e t**(3+alpha) + q, computed once per grid.  They
-        are keyed on a copy of the grid's values, so another grid, or the same
-        array changed in place, computes them afresh."""
+        are keyed on the grid's values, so another grid, or the same array
+        changed in place, computes them afresh.  A read-only array that owns
+        its data, such as the grid ``solve`` passes, is its own key: calls
+        with that same array skip the comparison."""
         nonlocal grid_x, grid_factors
-        if grid_x is None or not np.array_equal(grid_x, x):
-            x = np.array(x, dtype=float)
-            ex = np.exp(-x)
-            q = x ** 4 * (pi - x) ** 4
-            s = x ** 2 * (pi - x) ** 2
-            poly = (
-                x ** 2 * (56.0 - 16.0 * x + x ** 2)
-                - 2.0 * pi * x * (28.0 - 12.0 * x + x ** 2)
-                + pi ** 2 * (12.0 - 8.0 * x + x ** 2)
-            )
-            grid_factors = (g4a / 6.0 * q * ex, s * ex * poly,
-                            4.0 * s * (3.0 * pi ** 2 - 14.0 * pi * x + 14.0 * x ** 2), q * ex, q)
+        if x is grid_x and not x.flags.writeable:
+            return grid_factors
+        # the key itself made writeable again may have changed: compute afresh
+        if x is grid_x or grid_x is None or not np.array_equal(grid_x, x):
+            grid_x = np.array(x, dtype=float)
+            grid_factors = grid_values(grid_x)
+        if isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable:
             grid_x = x
         return grid_factors
 

@@ -11,6 +11,10 @@ kernel's dyadic ladder maps the same rule to each of its intervals, and
 Jacobi once per (size, gamma), as the power weight's [0, a] enters only
 through the affine map of the nodes and a scale of the weights.  A mapped
 rule is the caller's own, and equal bit for bit to one solved afresh.
+Legendre also takes arrays of endpoints: one call maps the rule to every
+interval of a ladder at once, and its ``QuadRule`` holds one row of nodes
+and weights per interval, each row equal bit for bit to that interval's
+scalar call.
 """
 from __future__ import annotations
 
@@ -33,19 +37,25 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QuadRule:
-    """An n-point Gaussian rule for integrands f(s) * s**weight_exponent.
+    """An n-point Gaussian rule for integrands f(s) * s**weight_exponent,
+    on one interval or on each of an array of intervals.
 
     Attributes
     ----------
     nodes : ndarray
-        Strictly increasing abscissae, all inside the open interval.
+        Strictly increasing abscissae, all inside the open interval:
+        shape (n,) for one interval, ``lo.shape + (n,)`` for an array of
+        them, one row per interval.
     weights : ndarray
-        Positive weights.  They absorb the weight function, so the rule
-        is applied as ``sum(weights * f(nodes))``.
-    interval : (float, float)
-        Integration interval (lo, hi).
+        Positive weights, shaped as ``nodes``.  They absorb the weight
+        function, so the rule is applied as ``sum(weights * f(nodes))``
+        along the last axis.
+    interval : (float, float) or (ndarray, ndarray)
+        Integration interval (lo, hi), or arrays of the intervals' ends.
     weight_exponent : float
         Exponent gamma of the weight s**gamma (0 for Legendre).
+
+    Every check holds per interval, along the last axis.
     """
 
     nodes: np.ndarray
@@ -55,14 +65,16 @@ class QuadRule:
 
     def __post_init__(self) -> None:
         lo, hi = self.interval
-        if not np.all(np.diff(self.nodes) > 0):
+        nodes = self.nodes
+        if not (np.diff(nodes) > 0).all():
             raise ConstructionError("nodes are not strictly increasing")
-        if not (np.all(self.nodes > lo) and np.all(self.nodes < hi)):
+        # increasing nodes stay inside when the first and the last do
+        if not ((nodes[..., 0] > lo).all() and (nodes[..., -1] < hi).all()):
             raise ConstructionError("nodes escape the open interval")
-        if not np.all(self.weights > 0):
+        if not (self.weights > 0).all():
             raise ConstructionError("non-positive quadrature weight")
         moment = _weight_moment(lo, hi, self.weight_exponent)
-        if abs(float(np.sum(self.weights)) - moment) > 1e-12 * abs(moment):
+        if (abs(self.weights.sum(axis=-1) - moment) > 1e-12 * abs(moment)).any():
             raise ConstructionError("weights do not integrate the constant 1")
 
 
@@ -88,8 +100,8 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, family: str):
     return x, vec[0] ** 2
 
 
-def gauss_legendre(n: int, lo: float, hi: float) -> QuadRule:
-    """n-point Gauss-Legendre rule on [lo, hi].
+def gauss_legendre(n: int, lo, hi) -> QuadRule:
+    """n-point Gauss-Legendre rule on [lo, hi], or on each [lo[k], hi[k]].
 
     Exact for polynomials of degree <= 2n - 1.
 
@@ -97,14 +109,25 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadRule:
     ----------
     n : int
         Number of nodes, 1 <= n <= 64.
-    lo, hi : float
-        Interval endpoints, lo < hi.
+    lo, hi : float or array_like
+        Interval endpoints, lo < hi.  Arrays (broadcast together) give one
+        rule per interval: nodes and weights of shape ``lo.shape + (n,)``,
+        each row the same ``mid + half * x`` and ``half * w`` arithmetic as
+        the scalar call on that interval.
     """
     _check_n(n)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     x, w = _legendre(n)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    else:
+        lo, hi = np.broadcast_arrays(np.array(lo, dtype=float), np.array(hi, dtype=float))
+        empty = np.flatnonzero(~(lo < hi))   # a NaN end makes an empty interval too
+        if empty.size:
+            k = empty[0]
+            raise ValueError(f"need lo < hi, got [{lo.flat[k]}, {hi.flat[k]}] at interval {k}")
+        mid, half = 0.5 * (lo + hi)[..., None], 0.5 * (hi - lo)[..., None]
     return QuadRule(mid + half * x, half * w, (lo, hi), 0.0)
 
 

@@ -13,6 +13,7 @@ hence two bound formulas).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ class SoEParams:
     n2: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "n1", "n2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.a < self.b:
             raise ValueError(f"ladder is empty: a={self.a} must be < b={self.b}")
         if self.n1 < 0:
@@ -109,6 +114,8 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
     Low-band weights come out of the power rule divided by Gamma(beta);
     ladder weights additionally carry the factor s**(beta-1) evaluated at
     the Legendre nodes, so every mode exposes the same (w, s) interface.
+    The ladder's rules come from one array call of ``gauss_legendre``,
+    one row per dyadic interval, in increasing order.
     ``bound`` is the sum of ``soe_error_bound_terms``.
     """
     if not 0 < delta < horizon:
@@ -122,12 +129,11 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
         rule = gauss_jacobi_power(params.n1, beta - 1.0, 2.0 ** a)
         nodes.append(rule.nodes)
         weights.append(rule.weights / gb)
-    for j in range(a, b):
-        rule = gauss_legendre(params.n2, 2.0 ** j, 2.0 ** (j + 1))
-        nodes.append(rule.nodes)
-        weights.append(rule.weights * rule.nodes ** (beta - 1.0) / gb)
-    if not nodes:
-        raise ConstructionError("parameter combination yields zero modes")
+    # the whole ladder [2**j, 2**(j+1)], j = a..b-1, in one rule: a row per interval
+    lo = 2.0 ** np.arange(a, b)
+    rule = gauss_legendre(params.n2, lo, 2.0 * lo)
+    nodes.append(rule.nodes.ravel())
+    weights.append((rule.weights * rule.nodes ** (beta - 1.0) / gb).ravel())
     s = np.concatenate(nodes)
     w = np.concatenate(weights)
     return SoEApproximation(beta, delta, horizon, s, w, eps)
@@ -138,7 +144,9 @@ def soe_eval(soe: SoEApproximation, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("kernel evaluation requires t > 0")
-    out = np.exp(-np.multiply.outer(t_arr, soe.nodes)) @ soe.weights
+    # one (samples, modes) buffer; -t * s is -(t * s) bit for bit
+    damp = np.multiply.outer(-t_arr, soe.nodes)
+    out = np.exp(damp, out=damp) @ soe.weights
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -197,8 +205,8 @@ def soe_max_error(soe: SoEApproximation, n_samples: int):
     Log-uniform sampling concentrates points near delta, where the error
     peaks.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
+        raise ValueError(f"need an integer of at least 2 samples, got {n_samples!r}")
     t = np.geomspace(soe.delta, soe.horizon, n_samples)
     err = np.abs(t ** -soe.beta - soe_eval(soe, t))
     return float(err.max()), np.column_stack([t, err])

@@ -4,7 +4,10 @@ These deliberately avoid the library's own quadrature and scheme code:
 adaptive Simpson for smooth integrands, a power substitution for
 endpoint singularities, and a graded-mesh trapezoid rule for the
 fractional convolution integral.  ``fit_rate`` fits the convergence
-rates that the acceptance criteria read.
+rates that the acceptance criteria read.  The kernel oracles at the end
+are the exception: they replay the kernel build and evaluation one
+interval at a time, through the library's scalar rules, so that the
+array forms can be checked against them bit for bit.
 """
 import math
 
@@ -137,3 +140,30 @@ def manufactured_fields(x, t, alpha):
     u_xx = (g2 - 2.0 * g1 + g) * ex * tau + g2
     scale = d_t + (g2_abs + 2.0 * np.abs(g1) + g) * ex * tau + g2_abs
     return d_t - u_xx, g * (ex * tau + 1.0), scale
+
+
+def build_soe_per_interval(beta, params, delta, horizon):
+    """(nodes, weights, bound) of ``build_soe`` with one scalar Legendre
+    rule per dyadic interval [2**j, 2**(j+1)], j = a..b-1."""
+    from fraccaputo.quadrature import gauss_jacobi_power, gauss_legendre
+    from fraccaputo.soe import soe_error_bound_terms
+
+    eps = sum(soe_error_bound_terms(beta, params, delta, horizon))
+    gb = math.gamma(beta)
+    nodes, weights = [], []
+    if params.n1 > 0:
+        rule = gauss_jacobi_power(params.n1, beta - 1.0, 2.0 ** params.a)
+        nodes.append(rule.nodes)
+        weights.append(rule.weights / gb)
+    for j in range(params.a, params.b):
+        rule = gauss_legendre(params.n2, 2.0 ** j, 2.0 ** (j + 1))
+        nodes.append(rule.nodes)
+        weights.append(rule.weights * rule.nodes ** (beta - 1.0) / gb)
+    return np.concatenate(nodes), np.concatenate(weights), eps
+
+
+def soe_eval_outer(soe, t):
+    """sum(w_i * exp(-s_i * t)) as exp of the negated outer product."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.exp(-np.multiply.outer(t_arr, soe.nodes)) @ soe.weights
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

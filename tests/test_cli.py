@@ -263,6 +263,17 @@ def test_soe_error_needs_two_samples(tmp_path, capsys):
     assert code == 0 and len(parse_csv(text)[2]) == 2
 
 
+def test_one_step_fast_solve_is_a_validation_error(tmp_path, capsys):
+    """fidr, the default scheme, needs 2 steps for a kernel window [dt, T]."""
+    code, text = run_cli(tmp_path, "solve", "--dt", "1", "--T", "1")
+    assert code == 2 and text == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "at least 2 steps" in err["detail"] and "delta" not in err["detail"]
+    code, _ = run_cli(tmp_path, "solve", "--dt", "1", "--T", "1", "--scheme", "l1")
+    assert code == 0
+
+
 def test_step_too_long_for_grid_is_a_validation_error(tmp_path, capsys):
     """At dt = 1e12 the time term dt**-a / Gamma(2-a) is lost beside 2/h**2,
     so the matrix is not provably nonsingular: bad input (2), not a traceback."""

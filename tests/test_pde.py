@@ -324,6 +324,59 @@ def test_solve_validation():
         solve(bad, tg, SpaceGrid(0.0, 1.0, 10), "l1")   # exact(x,0) != initial
 
 
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_one_step_fast_solve_is_rejected(scheme):
+    """One step leaves the kernel window [dt, T] empty: a ValueError that
+    says so, while the direct rules take the one step."""
+    prob, tg, sg = manufactured_problem(0.5), TimeGrid(1.0, 1), SpaceGrid(0.0, PI, 16)
+    with pytest.raises(ValueError, match=r"at least 2 steps.*\[dt, T\] = \[1.0, 1.0\] is empty"):
+        solve(prob, tg, sg, scheme, BENCH)
+    assert solve(prob, TimeGrid(0.5, 2), sg, scheme, BENCH).n_modes_interior == 25
+    for direct in ("l1", "gl"):
+        assert math.isfinite(solve(prob, tg, sg, direct).global_error)
+
+
+def test_solve_passes_one_read_only_grid():
+    """initial, source and exact all see the same grid, which owns its data
+    and cannot be written."""
+    prob = manufactured_problem(0.5)
+    seen = []
+
+    def keep(fn):
+        def call(x, *args):
+            seen.append(x)
+            return fn(x, *args)
+        return call
+
+    prob = dataclasses.replace(prob, initial=keep(prob.initial), source=keep(prob.source),
+                               exact=keep(prob.exact))
+    solve(prob, TimeGrid(0.1, 3), SpaceGrid(0.0, PI, 16), "l1")
+    assert len(seen) == 1 + 1 + 2 * 3
+    assert all(x is seen[0] for x in seen)
+    assert seen[0].flags.owndata and not seen[0].flags.writeable
+
+
+def test_manufactured_read_only_grid_made_writeable_is_recomputed():
+    """A read-only grid is its own key; made writeable and changed, it no
+    longer matches the values its factors came from."""
+    prob = manufactured_problem(0.5)
+    x = np.linspace(0.0, PI, 9).copy()
+
+    def check(t):
+        source, exact, scale = manufactured_fields(x, t, 0.5)
+        assert np.all(np.abs(prob.source(x, t, None) - source) <= 1e-13 * scale)
+        assert np.all(np.abs(prob.exact(x, t) - exact) <= 1e-13 * exact)
+
+    for shift in (0.0, 0.1, -0.05):
+        x.flags.writeable = True
+        x += shift
+        x.flags.writeable = False
+        check(0.5)
+        check(0.7)
+        x.flags.writeable = True
+        check(0.3)
+
+
 def test_spacegrid_from_spacing():
     sg = SpaceGrid.from_spacing(0.0, PI, 1e-3)
     assert sg.n_cells == 3142

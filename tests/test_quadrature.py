@@ -41,6 +41,51 @@ def test_canonical_legendre_rule_is_cached_read_only():
     assert x[0] != 0.0
 
 
+def test_legendre_on_array_intervals_equals_scalar_calls():
+    """An array of intervals gives one row per interval, lo.shape + (n,),
+    each row equal bit for bit to that interval's scalar call."""
+    lo = np.array([[0.25, 1.0, -3.0], [2.0 ** -40, 7.5, 1e6]])
+    hi = lo + np.array([[0.25, 1.0, 0.5], [2.0 ** -40, 0.1, 3e6]])
+    rule = gauss_legendre(5, lo, hi)
+    assert rule.nodes.shape == rule.weights.shape == (2, 3, 5)
+    for k in np.ndindex(lo.shape):
+        one = gauss_legendre(5, float(lo[k]), float(hi[k]))
+        np.testing.assert_array_equal(rule.nodes[k], one.nodes)
+        np.testing.assert_array_equal(rule.weights[k], one.weights)
+    ladder = gauss_legendre(3, [1.0, 2.0], 4.0)   # lists broadcast too
+    np.testing.assert_array_equal(ladder.nodes[1], gauss_legendre(3, 2.0, 4.0).nodes)
+
+
+@pytest.mark.parametrize("bad_hi", [2.0, 1.5, math.nan], ids=["empty", "reversed", "nan"])
+def test_array_call_with_one_empty_interval_is_rejected(bad_hi):
+    lo = np.array([1.0, 2.0, 4.0])
+    hi = np.array([2.0, bad_hi, 8.0])
+    with pytest.raises(ValueError, match="at interval 1"):
+        gauss_legendre(4, lo, hi)
+
+
+def test_array_rule_is_checked_per_interval():
+    """Each of the four checks holds row by row: one bad row of otherwise
+    valid rules is a ConstructionError."""
+    from fraccaputo.quadrature import QuadRule
+    good = gauss_legendre(3, np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+    lo, hi = good.interval
+    for row, nodes, weights in [
+        (1, [2.9, 2.5, 3.5], None),            # not increasing
+        (1, [1.5, 2.5, 3.5], None),            # escapes [2, 4]
+        (0, None, [0.5, -0.1, 0.6]),           # non-positive weight
+        (0, None, [0.3, 0.4, 0.3 + 1e-9]),     # misses the moment 1 by 1e-9
+    ]:
+        n, w = good.nodes.copy(), good.weights.copy()
+        if nodes is not None:
+            n[row] = nodes
+        if weights is not None:
+            w[row] = weights
+        with pytest.raises(ConstructionError):
+            QuadRule(n, w, (lo, hi), 0.0)
+    QuadRule(good.nodes, good.weights, (lo, hi), 0.0)
+
+
 def uncached_jacobi_power(n, gamma, a):
     """Golub-Welsch for the weight s**gamma on [0, a], solved afresh: the
     monic Jacobi recurrence on [-1, 1] mapped by s = a (1 + x) / 2."""
@@ -196,3 +241,6 @@ def test_rule_invariant_violation_detected():
         QuadRule(np.array([0.5, 0.2]), np.array([1.0, 1.0]), (0.0, 1.0), 0.0)
     with pytest.raises(ConstructionError):
         QuadRule(np.array([0.2, 0.5]), np.array([1.0, -1.0]), (0.0, 1.0), 0.0)
+    for nodes in ([0.0, 0.5], [0.5, 1.0], [-0.5, 0.5], [0.5, 2.0]):
+        with pytest.raises(ConstructionError, match="escape"):
+            QuadRule(np.array(nodes), np.array([0.5, 0.5]), (0.0, 1.0), 0.0)

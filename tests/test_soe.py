@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraccaputo import quadrature
 from fraccaputo.quadrature import ConstructionError, gauss_legendre
 from fraccaputo.soe import (
     SoEApproximation,
@@ -15,6 +16,8 @@ from fraccaputo.soe import (
     soe_max_error,
     tail_integral,
 )
+
+from oracles import build_soe_per_interval, soe_eval_outer
 
 BENCH = SoEParams.from_ladder(3, 10, 4, 3)   # the 25-mode benchmark partition
 SLACK = 1e-12  # relative rounding slack, the property suite's
@@ -33,6 +36,72 @@ def test_params_validation():
         SoEParams(a=0, b=5, n1=4, n2=0)
     with pytest.raises(ValueError):
         SoEParams(a=0, b=5, n1=-1, n2=1)
+
+
+@pytest.mark.parametrize("a,b,n1,n2", [(3.5, 10, 4, 3), (3, 10.0, 4, 3), (3, 10, 4.0, 3),
+                                       (3, 10, 4, 3.0), (3, 10, 4, "3"), (None, 10, 4, 3)])
+def test_params_must_be_integers(a, b, n1, n2):
+    """3.5 would count 23.5 modes and 4.0 a float 25.0, neither a ladder."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        SoEParams(a, b, n1, n2)
+
+
+def test_numpy_integer_params_and_samples_are_valid():
+    params = SoEParams(*np.array([3, 10, 4, 3]))
+    assert params.n_modes == 25
+    soe = build_soe(0.5, params, 1e-2, 1.0)
+    assert soe_max_error(soe, np.int64(50))[1].shape == (50, 2)
+
+
+@pytest.mark.parametrize("n_samples", [2.5, 100.0, None])
+def test_max_error_sample_count_must_be_an_integer(n_samples):
+    soe = build_soe(0.5, BENCH, 1e-2, 1.0)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        soe_max_error(soe, n_samples)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(beta=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
+       a=st.integers(-4, 6), width=st.integers(1, 20), n1=st.integers(0, 8),
+       n2=st.integers(1, 64), log_delta=st.floats(-4.0, -1.0),
+       log_horizon=st.floats(-0.5, 3.0))
+def test_ladder_rule_equals_per_interval_rules(beta, a, width, n1, n2, log_delta, log_horizon):
+    """The one-call ladder builds the kernel of one Legendre call per
+    interval bit for bit, and soe_eval's single buffer gives exp(-t s) @ w
+    bit for bit on a scalar, a 0-d array, a list and an array of times."""
+    params, delta, horizon = SoEParams(a, a + width, n1, n2), 10.0 ** log_delta, 10.0 ** log_horizon
+    nodes, weights, bound = build_soe_per_interval(beta, params, delta, horizon)
+    soe = build_soe(beta, params, delta, horizon)
+    np.testing.assert_array_equal(soe.nodes, nodes)
+    np.testing.assert_array_equal(soe.weights, weights)
+    assert soe.bound == bound
+    t = np.geomspace(delta, horizon, 7)
+    for times in (float(t[3]), np.float64(t[2]), np.array(t[1]), list(t), t, t.reshape(7, 1)):
+        got, want = soe_eval(soe, times), soe_eval_outer(soe, times)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
+
+LEGENDRE = quadrature._legendre
+
+
+def scaled_weights(n):
+    x, w = LEGENDRE(n)
+    return x, w * (1.0 + 1e-9)
+
+
+def swapped_nodes(n):
+    x, w = LEGENDRE(n)
+    return x[[1, 0, *range(2, n)]], w
+
+
+@pytest.mark.parametrize("broken", [scaled_weights, swapped_nodes])
+def test_broken_ladder_rule_is_a_construction_error(monkeypatch, broken):
+    """The ladder's one rule is checked per interval: weights 1e-9 off their
+    moment, or two nodes out of order, stop the kernel build."""
+    monkeypatch.setattr(quadrature, "_legendre", broken)
+    with pytest.raises(ConstructionError):
+        build_soe(0.5, BENCH, 1e-2, 1.0)
 
 
 def test_single_dyadic_interval_single_mode():
