@@ -16,6 +16,7 @@ field lagged one step, so a reaction term needs no Newton iteration.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -38,17 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpaceGrid:
-    """Uniform spatial grid with n_cells cells on [x_lo, x_hi]."""
+    """Uniform spatial grid with n_cells cells on [x_lo, x_hi], finite ends."""
 
     x_lo: float
     x_hi: float
     n_cells: int
 
     def __post_init__(self) -> None:
-        if self.n_cells < 2:
-            raise ValueError("need at least 2 cells")
-        if not self.x_lo < self.x_hi:
-            raise ValueError("need x_lo < x_hi")
+        if not (isinstance(self.n_cells, numbers.Integral) and self.n_cells >= 2):
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):
+            raise ValueError(f"need finite ends x_lo < x_hi, got {self.x_lo!r}, {self.x_hi!r}")
 
     @classmethod
     def from_spacing(cls, x_lo: float, x_hi: float, h: float) -> "SpaceGrid":
@@ -281,20 +282,15 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
 
     def factors(x):
         """x-only factors (a, b, c, q_e, q) of source = a t**3 - (b t**(3+alpha)
-        + c) and exact = q_e t**(3+alpha) + q, computed once per grid.  They
-        are keyed on the grid's values, so another grid, or the same array
-        changed in place, computes them afresh.  A read-only array that owns
-        its data, such as the grid ``solve`` passes, is its own key: calls
-        with that same array skip the comparison."""
+        + c) and exact = q_e t**(3+alpha) + q.  They are kept for the last
+        grid only if it is a read-only array that owns its data, such as the
+        one ``solve`` passes, and reused while that same array stays
+        read-only; any other x computes them afresh."""
         nonlocal grid_x, grid_factors
-        if x is grid_x and not x.flags.writeable:
-            return grid_factors
-        # the key itself made writeable again may have changed: compute afresh
-        if x is grid_x or grid_x is None or not np.array_equal(grid_x, x):
-            grid_x = np.array(x, dtype=float)
-            grid_factors = grid_values(grid_x)
-        if isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable:
-            grid_x = x
+        if not (x is grid_x and not x.flags.writeable):
+            grid_factors = grid_values(np.asarray(x, dtype=float))
+            owned = isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable
+            grid_x = x if owned else None
         return grid_factors
 
     # in place, in the order of q_e t**(3+alpha) + q and a t**3 - (b t**(3+alpha) + c)

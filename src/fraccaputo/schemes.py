@@ -22,15 +22,14 @@ age-shifted, true modes = d**age * stored, so that no step scales the
 (modes x points) array: a push adds its rank update through the
 coefficient row of its age, the history term reads through the weight row
 of its age, and once per period of at most 64 steps (``_PERIOD_CAP``) the
-stored modes are folded back to their true values.  The tables of rows are
-built once per kernel (``_mode_tables``).
+stored modes are folded back to their true values.  Each state builds its
+tables of rows when it binds its kernel (``_mode_tables``).
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -120,10 +119,9 @@ def mode_step_coeffs(scheme: str, nodes: np.ndarray, dt: float):
     return decay, (phi(x) * decay)[None, :]
 
 
-@lru_cache(maxsize=1)
 def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
     """(period F, coefficient rows, weight rows, fold row) of the fast rule
-    ``scheme`` of order ``alpha`` on ``soe`` at step ``dt``, all read-only.
+    ``scheme`` of order ``alpha`` on ``soe`` at step ``dt``.
 
     With d = exp(-s*dt) per mode, F = min(_PERIOD_CAP, floor(ln 2**400 /
     max(s*dt))), so that d**-age stays below 2**400 for every age <= F;
@@ -134,20 +132,14 @@ def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
     fir), and the (modes, 1) fold row is d**(F+1).  They are powers of the
     rounded d, not exp(-age*s*dt), so that F = 0 repeats the decay pass to
     the bit and no 0 * inf arises where d underflows.
-
-    The last call's tables are cached, keyed on the kernel's identity, so
-    that the many evaluators a suite runs on one kernel build them once.
     """
     decay, coeffs = mode_step_coeffs(scheme, soe.nodes, dt)
     x_max = float(soe.nodes[-1]) * dt   # nodes increase
     period = _PERIOD_CAP if x_max * _PERIOD_CAP <= _SCALE_LN else int(_SCALE_LN // x_max)
     powers = decay ** np.arange(period + 2.0)[:, None]
     hist_weights = soe.weights * ((-alpha if scheme == "fir" else 1.0) / math.gamma(1.0 - alpha))
-    tables = (period, coeffs / powers[:period + 1, None], hist_weights * powers[:period + 1],
-              powers[period + 1, :, None])
-    for table in tables[1:]:
-        table.flags.writeable = False
-    return tables
+    return (period, coeffs / powers[:period + 1, None], hist_weights * powers[:period + 1],
+            powers[period + 1, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +217,16 @@ class FastHistory(_Evaluator):
     fidr.  A push past the period F first folds, modes *= d**(F+1), and
     adds through row 0, so the age runs 0, 1, .., F, 0, ...  The history
     term is row ``age`` of the weight table @ modes.  Fields and streams
-    share this one path; the tables come from ``_mode_tables``."""
+    share this one path; ``use_kernel`` builds the state's own tables
+    (``_mode_tables``)."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         self.beta = kernel_order(scheme, alpha)
         _check_order(alpha)
         _check_step(dt)
+        if not (isinstance(n_modes, numbers.Integral) and n_modes >= 1):
+            raise ValueError(f"n_modes, the kernel's mode count, must be an integer >= 1, "
+                             f"got {n_modes!r}")
         self.scheme, self.alpha, self.dt, self.soe, self.age = scheme, alpha, dt, None, 0
         self.u0 = self.anchor = _samples(u0, float)[()]
         self.modes = np.zeros((n_modes,) + np.shape(self.u0))
@@ -339,7 +335,8 @@ def gl_coefficients(p: float, n: int) -> np.ndarray:
 # scalar steppers: each returns (value, state), the state advanced in place
 
 def new_history(scheme: str, alpha: float, dt: float, u0, n_modes: int = 0):
-    """Evaluator of l1, fir, fidr or gl (any case) holding only u^0."""
+    """Evaluator of l1, fir, fidr or gl (any case) holding only u^0; fir and
+    fidr need ``n_modes``, the mode count (>= 1) of the kernel they will run on."""
     scheme = scheme.lower()
     if scheme in ("fir", "fidr"):
         return FastHistory(scheme, alpha, dt, u0, n_modes)

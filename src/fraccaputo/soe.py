@@ -142,7 +142,7 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
 def soe_eval(soe: SoEApproximation, t):
     """Evaluate sum(w_i * exp(-s_i * t)); t may be a scalar or an array."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):   # a NaN fails too
         raise ValueError("kernel evaluation requires t > 0")
     # one (samples, modes) buffer; -t * s is -(t * s) bit for bit
     damp = np.multiply.outer(-t_arr, soe.nodes)

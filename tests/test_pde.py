@@ -377,6 +377,31 @@ def test_manufactured_read_only_grid_made_writeable_is_recomputed():
         check(0.3)
 
 
+def test_manufactured_read_only_view_is_not_a_key():
+    """A read-only view does not own its data, which its writeable base can
+    change under it, so source and exact compute its factors afresh."""
+    prob = manufactured_problem(0.5)
+    base = np.linspace(0.0, PI, 9)
+    x = base[1:]
+    x.flags.writeable = False
+    for shift in (0.0, 0.1, -0.05):
+        base += shift
+        source, exact, scale = manufactured_fields(x, 0.5, 0.5)
+        assert np.all(np.abs(prob.source(x, 0.5, None) - source) <= 1e-13 * scale)
+        assert np.all(np.abs(prob.exact(x, 0.5) - exact) <= 1e-13 * exact)
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+    (0.0, math.inf, 4), (-math.inf, 1.0, 4), (math.nan, 1.0, 4),
+], ids=["cells-2.5", "cells-3.0", "cells-nan", "cells-inf", "hi-inf", "lo-inf", "lo-nan"])
+def test_spacegrid_validates_its_fields(args):
+    """The cell count is an integer >= 2 and the ends are finite, checked
+    where the grid is made, not later in points() or solve."""
+    with pytest.raises(ValueError, match="integer >= 2|finite ends"):
+        SpaceGrid(*args)
+
+
 def test_spacegrid_from_spacing():
     sg = SpaceGrid.from_spacing(0.0, PI, 1e-3)
     assert sg.n_cells == 3142
@@ -385,6 +410,7 @@ def test_spacegrid_from_spacing():
         SpaceGrid(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         SpaceGrid(0.0, 1.0, 1)
+    assert SpaceGrid(0.0, 1.0, np.int64(4)).points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     # not clamped to a 2-cell grid: too wide a spacing rounds below 2 cells,
     # and one so small that the cell count overflows is no grid either
     for h in (0.0, -1e-3, math.nan, 10.0, math.inf, 1e-320):

@@ -12,7 +12,7 @@ from fraccaputo.property_suite import (
     truncation_suite,
 )
 from fraccaputo.quadrature import _jacobi
-from fraccaputo.schemes import _mode_tables, kernel_order
+from fraccaputo.schemes import kernel_order
 from fraccaputo.soe import SoEParams, build_soe
 
 
@@ -86,10 +86,9 @@ def test_runner_deterministic_under_seed():
 
 
 def test_ledger_does_not_depend_on_warm_caches():
-    """The Jacobi rules and the fast rules' mode tables are cached; a ledger
-    computed from cold caches equals one computed from warm ones."""
+    """The Jacobi rules are cached; a ledger computed from a cold cache
+    equals one computed from a warm one."""
     _jacobi.cache_clear()
-    _mode_tables.cache_clear()
     cold = run_property_suite(3, quick=True)
     assert cold == run_property_suite(3, quick=True)
     assert cold["all_pass"]

@@ -284,13 +284,15 @@ def test_second_kernel_is_refused(scheme):
     assert (state.soe, state.age, state.step_index) == (twin.soe, twin.age, twin.step_index)
 
 
-def test_mode_tables_built_once_per_kernel():
-    """Evaluators on one kernel share its read-only tables, the fold row
+def test_mode_tables_built_per_state():
+    """Two states on one kernel hold equal tables of their own, the fold row
     d**(F+1) included."""
     soe = build_soe(0.4, SoEParams(0, 10, 4, 4), 1e-2, 1.0)
     a, b = (fast_field(FastHistory, "fidr", 0.4, 1e-2, soe, 0.0) for _ in range(2))
+    assert a.period == b.period
     for mine, theirs in zip((a._coeffs, a._weights, a._fold), (b._coeffs, b._weights, b._fold)):
-        assert mine is theirs and not mine.flags.writeable
+        assert mine is not theirs
+        np.testing.assert_array_equal(mine, theirs)
     decay = mode_step_coeffs("fidr", soe.nodes, 1e-2)[0]
     np.testing.assert_allclose(a._fold, decay[:, None] ** (a.period + 1), rtol=1e-14)
 
@@ -614,6 +616,16 @@ def test_timegrid_contract():
         with pytest.raises(ValueError, match="integer >= 1"):
             TimeGrid(0.1, n)
     assert TimeGrid(0.1, np.int64(4)).n_steps == 4
+
+
+@pytest.mark.parametrize("n_modes", [0, -1, 2.5])
+@pytest.mark.parametrize("scheme", ["fir", "fidr"])
+def test_fast_rule_mode_count_is_checked_where_the_state_is_made(scheme, n_modes):
+    """A fast state needs its kernel's mode count, an integer >= 1 (numpy
+    integers too), and says so where it is made, not inside numpy."""
+    with pytest.raises(ValueError, match="n_modes.*integer >= 1"):
+        new_history(scheme, 0.5, 0.1, 0.0, n_modes=n_modes)
+    assert new_history(scheme, 0.5, 0.1, 0.0, n_modes=np.int64(3)).modes.shape == (3,)
 
 
 def test_history_state_validation():

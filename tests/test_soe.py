@@ -131,9 +131,12 @@ def test_eval_single_mode_arithmetic():
 
 
 def test_eval_rejects_nonpositive_time():
+    """A NaN is no t > 0 either, as a scalar or inside an array: a
+    ValueError, not a silent nan."""
     soe = build_soe(1.1, BENCH, 1e-2, 1.0)
-    with pytest.raises(ValueError):
-        soe_eval(soe, 0.0)
+    for t in (0.0, math.nan, np.array([0.5, math.nan, 1.0])):
+        with pytest.raises(ValueError, match="t > 0"):
+            soe_eval(soe, t)
 
 
 def test_eval_decay_and_positivity():
