@@ -16,16 +16,7 @@ from .pde import (
 )
 from .property_suite import theorem_constants, truncation_bound
 from .quadrature import ConstructionError, QuadRule, gauss_jacobi_power, gauss_legendre
-from .schemes import (
-    TimeGrid,
-    caputo_reference,
-    fidr_step,
-    fir_step,
-    gl_step,
-    l1_step,
-    l1_weights,
-    new_history,
-)
+from .schemes import TimeGrid, caputo_reference, new_history
 from .soe import (
     SoEApproximation,
     SoEParams,
@@ -47,13 +38,8 @@ __all__ = [
     "TimeGrid",
     "build_soe",
     "caputo_reference",
-    "fidr_step",
-    "fir_step",
     "gauss_jacobi_power",
     "gauss_legendre",
-    "gl_step",
-    "l1_step",
-    "l1_weights",
     "manufactured_problem",
     "new_history",
     "nonlinear_problem",

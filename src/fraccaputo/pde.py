@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .schemes import SCHEMES, DirectHistory, FastHistory, TimeGrid, _check_order, kernel_order
+from .schemes import DirectHistory, FastHistory, TimeGrid, _check_order, _check_scheme, kernel_order
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -160,11 +160,15 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     Fast schemes build two kernels from the same partition parameters:
     order alpha for every grid point and order alpha/2 for the two
     boundary evaluators.  Error norms are filled only when the problem
-    carries an exact solution.
+    carries an exact solution.  A snapshot is kept every ``snapshot_stride``
+    steps (an integer >= 1; by default a tenth of the run) and at the last.
+    The problem's callables see one grid array for the whole run, which
+    must not change while the run holds it.
     """
-    scheme = scheme.lower()
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    _check_scheme(scheme)
+    if not (snapshot_stride is None
+            or isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
+        raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     if scheme in ("fir", "fidr") and soe_params is None:
         raise ValueError(f"scheme {scheme!r} needs kernel partition parameters")
     if scheme in ("fir", "fidr") and tgrid.n_steps < 2:
@@ -186,18 +190,17 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         if not mismatch <= 1e-10 * max(1.0, np.max(np.abs(u0))):  # a NaN fails too
             raise ValueError("exact solution disagrees with initial data at t=0")
 
-    evaluators, kernels = [], []
+    evaluators = []
     for order, start in ((alpha, u0), (alpha / 2.0, u0[[0, -1]])):
         if scheme in ("fir", "fidr"):
             kernel = build_soe(kernel_order(scheme, order), soe_params, dt, tgrid.horizon)
             evaluator = FastHistory(scheme, order, dt, start, kernel.n_modes)
             evaluator.use_kernel(kernel)
-            kernels.append(kernel)
         else:
             evaluator = DirectHistory(scheme, order, dt, start, n_steps)
         evaluators.append(evaluator)
     interior, boundary = evaluators
-    soe_i, soe_b = kernels or (None, None)
+    soe_i, soe_b = interior.soe, boundary.soe
 
     lu = _factor(_banded_matrix(len(x), h, interior.sigma, boundary.sigma))
 
@@ -285,7 +288,8 @@ def manufactured_problem(alpha: float) -> DiffusionProblem:
         + c) and exact = q_e t**(3+alpha) + q.  They are kept for the last
         grid only if it is a read-only array that owns its data, such as the
         one ``solve`` passes, and reused while that same array stays
-        read-only; any other x computes them afresh."""
+        read-only, which must not change meanwhile; any other x computes
+        them afresh."""
         nonlocal grid_x, grid_factors
         if not (x is grid_x and not x.flags.writeable):
             grid_factors = grid_values(np.asarray(x, dtype=float))

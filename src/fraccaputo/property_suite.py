@@ -11,8 +11,7 @@ implementations, and reports a status:
 * ``inadmissible``        -- the kernel error is too large for the
   inequality to say anything (vacuous bound), so nothing was checked.
 
-Rules are named as in the rest of the package (l1, fir, fidr, gl), in any
-case.
+Rules are named as in the rest of the package: l1, fir, fidr, gl.
 """
 from __future__ import annotations
 
@@ -45,13 +44,13 @@ def theorem_constants(alpha: float, t_n: float, dt: float, eps: float,
     The estimate is vacuous unless mu > 0: a kernel error too large for
     that leaves nothing to check.
     """
+    _check_order(alpha)
     g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
     t_prev = t_n - dt
-    scheme = variant.lower()
-    if scheme == "fir":
+    if variant == "fir":
         return ((t_n ** -alpha - 2.0 * alpha * eps * t_prev) / g1,
                 (t_n ** (1.0 - alpha) - alpha * (1.0 - alpha) * eps * t_prev * dt) / g2)
-    if scheme == "fidr":
+    if variant == "fidr":
         return ((t_n ** -alpha - eps) / g1,
                 (dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha) / (2.0 * g1))
     raise ValueError(f"variant must be fir or fidr, got {variant!r}")
@@ -70,10 +69,9 @@ def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,
         * ((1.0 - alpha) / 12.0 + 2.0 ** (2.0 - alpha) / (2.0 - alpha) - (1.0 + 2.0 ** -alpha))
         * max_u2
     )
-    scheme = variant.lower()
-    if scheme == "l1":
+    if variant == "l1":
         return base
-    if scheme == "fidr":
+    if variant == "fidr":
         return base + eps0 * t_prev * max_u1 / math.gamma(1.0 - alpha)
     raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
 
@@ -198,8 +196,7 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     (plus the certified kernel term for the increment-based fast rule).
     A step that is not an integer in 1..1000 is a ``ValueError``.
     """
-    scheme = variant.lower()
-    if scheme not in ("l1", "fidr"):
+    if variant not in ("l1", "fidr"):
         raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
     dt, n_max = 1e-3, 1000
     steps = range(1, n_max + 1) if step_filter is None else list(step_filter)
@@ -213,20 +210,20 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     checked = 0
     for alpha in (0.1, 0.5, 0.9):
         soe = (build_soe(alpha, SoEParams(0, 15, 8, 6), dt, n_max * dt)
-               if scheme == "fidr" else None)
+               if variant == "fidr" else None)
         # (u, max|u''|, max|u'| on [0, t_{n-1}], reference D u(t_n)) per step n
         for u, m2, m1, ref in (
             (t ** 2, 2.0, 2.0 * t_prev, caputo_reference("power", alpha, t_n, sigma=2.0)),
             (np.sin(t), 1.0, 1.0, caputo_reference("sin", alpha, t_n)),
         ):
-            gap = np.abs(_run(scheme, alpha, u, dt, soe)[steps - 1] - ref)
+            gap = np.abs(_run(variant, alpha, u, dt, soe)[steps - 1] - ref)
             checked += gap.size
             bnd = np.broadcast_to(truncation_bound(
-                scheme, alpha, dt, m2, max_u1=m1, t_prev=t_prev,
+                variant, alpha, dt, m2, max_u1=m1, t_prev=t_prev,
                 eps0=soe.bound if soe is not None else 0.0), gap.shape)
             violations += [{"alpha": alpha, "n": int(steps[i]), "gap": float(gap[i]),
                             "bound": float(bnd[i])} for i in np.flatnonzero(gap > bnd)]
-    return _verdict(f"truncation_{scheme}", checked, violations)
+    return _verdict(f"truncation_{variant}", checked, violations)
 
 
 def gl_stability_suite(seed: int) -> dict:

@@ -51,7 +51,8 @@ class QuadRule:
         function, so the rule is applied as ``sum(weights * f(nodes))``
         along the last axis.
     interval : (float, float) or (ndarray, ndarray)
-        Integration interval (lo, hi), or arrays of the intervals' ends.
+        Integration interval (lo, hi), or arrays of the intervals' ends
+        (0-d arrays for one Legendre interval).
     weight_exponent : float
         Exponent gamma of the weight s**gamma (0 for Legendre).
 
@@ -110,24 +111,19 @@ def gauss_legendre(n: int, lo, hi) -> QuadRule:
     n : int
         Number of nodes, 1 <= n <= 64.
     lo, hi : float or array_like
-        Interval endpoints, lo < hi.  Arrays (broadcast together) give one
-        rule per interval: nodes and weights of shape ``lo.shape + (n,)``,
-        each row the same ``mid + half * x`` and ``half * w`` arithmetic as
-        the scalar call on that interval.
+        Interval endpoints, lo < hi, broadcast together and taken as float
+        arrays: one rule per interval, nodes and weights of shape
+        ``lo.shape + (n,)``, each row the same ``mid + half * x`` and
+        ``half * w`` arithmetic, so scalar ends give one rule of shape (n,).
     """
     _check_n(n)
     x, w = _legendre(n)
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    else:
-        lo, hi = np.broadcast_arrays(np.array(lo, dtype=float), np.array(hi, dtype=float))
-        empty = np.flatnonzero(~(lo < hi))   # a NaN end makes an empty interval too
-        if empty.size:
-            k = empty[0]
-            raise ValueError(f"need lo < hi, got [{lo.flat[k]}, {hi.flat[k]}] at interval {k}")
-        mid, half = 0.5 * (lo + hi)[..., None], 0.5 * (hi - lo)[..., None]
+    lo, hi = np.broadcast_arrays(np.array(lo, dtype=float), np.array(hi, dtype=float))
+    empty = np.flatnonzero(~(lo < hi))   # a NaN end makes an empty interval too
+    if empty.size:
+        k = empty[0]
+        raise ValueError(f"need lo < hi, got [{lo.flat[k]}, {hi.flat[k]}] at interval {k}")
+    mid, half = 0.5 * (lo + hi)[..., None], 0.5 * (hi - lo)[..., None]
     return QuadRule(mid + half * x, half * w, (lo, hi), 0.0)
 
 

@@ -1,8 +1,8 @@
 """Evaluators of the Caputo derivative on a uniform grid.
 
 Four discretizations consume samples u^0, u^1, ... one step at a time,
-as 1-D fields in the solver and as scalar streams through the ``*_step``
-functions, with one history term ``weights @ state`` for both.  The two
+as 1-D fields in the solver and as scalar streams from ``new_history``,
+with one history term ``weights @ state`` for both.  The two
 full-history rules are one evaluator, ``DirectHistory``, which sums weights
 against u - u^0 and differs per rule only in its factor sigma and its
 weight table; the two fast rules are ``FastHistory``, whose one rank update
@@ -43,12 +43,7 @@ __all__ = [
     "kernel_order",
     "DirectHistory",
     "new_history",
-    "fir_step",
-    "fidr_step",
-    "gl_step",
     "gl_coefficients",
-    "l1_weights",
-    "l1_step",
     "caputo_reference",
 ]
 
@@ -155,6 +150,16 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"step dt must be positive and finite, got {dt}")
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+
+
+def _sigma(scheme: str, alpha: float, dt: float) -> float:
+    """The factor of u^n in D u^n: dt**-alpha / Gamma(2-alpha), or dt**-alpha for gl."""
+    return dt ** -alpha if scheme == "gl" else dt ** -alpha / math.gamma(2.0 - alpha)
+
+
 def _samples(u, dtype=None) -> np.ndarray:
     """A copy of u, a scalar or 1-D field, as ``dtype``: by default float, or
     complex as u is.  A complex u is rejected where ``dtype`` is float."""
@@ -175,9 +180,20 @@ class _Evaluator:
     contiguous operands and only reads; ``push(u^n)`` alone advances the
     state.  The solver calls ``known()``, solves for u^n, then calls
     ``push``; ``step(u^n)`` is the same formula on a given sample, followed
-    by its push."""
+    by its push.  The constructor checks and sets what every rule shares,
+    the anchor u^0 cast to ``dtype`` (``_samples``)."""
 
     step_index = 0
+    soe = None   # the compressed kernel of a fast rule; a direct rule has none
+
+    def __init__(self, scheme: str, alpha: float, dt: float, u0, dtype=None):
+        _check_order(alpha)
+        _check_step(dt)
+        self.scheme, self.alpha, self.dt = scheme, alpha, dt
+        self.sigma = _sigma(scheme, alpha, dt)
+        self.lag = alpha * self.sigma if scheme == "fir" else self.sigma
+        # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
+        self.anchor = _samples(u0, dtype)[()]
 
     def known(self):
         hist = self.history_term()   # a fresh value, so updated in place
@@ -222,19 +238,15 @@ class FastHistory(_Evaluator):
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         self.beta = kernel_order(scheme, alpha)
-        _check_order(alpha)
-        _check_step(dt)
+        super().__init__(scheme, alpha, dt, u0, float)
         if not (isinstance(n_modes, numbers.Integral) and n_modes >= 1):
             raise ValueError(f"n_modes, the kernel's mode count, must be an integer >= 1, "
                              f"got {n_modes!r}")
-        self.scheme, self.alpha, self.dt, self.soe, self.age = scheme, alpha, dt, None, 0
-        self.u0 = self.anchor = _samples(u0, float)[()]
+        self.u0, self.age = self.anchor, 0
         self.modes = np.zeros((n_modes,) + np.shape(self.u0))
         # the (points x modes) view of modes that push updates, Fortran-ordered
         self._cols = self.modes.reshape(n_modes, -1).T
         self.g1 = math.gamma(1.0 - alpha)
-        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha)
-        self.lag = alpha * self.sigma if scheme == "fir" else self.sigma
 
     def use_kernel(self, soe: SoEApproximation) -> None:
         """Bind ``soe``, a kernel of order ``beta``, for the state's whole
@@ -292,13 +304,7 @@ class DirectHistory(_Evaluator):
         self._table = {"l1": _l1_coefficients, "gl": gl_coefficients}.get(scheme)
         if self._table is None:
             raise ValueError(f"{scheme!r} is not a full-history rule (l1 or gl)")
-        _check_order(alpha)
-        _check_step(dt)
-        self.scheme, self.alpha, self.dt = scheme, alpha, dt
-        self.sigma = dt ** -alpha / math.gamma(2.0 - alpha) if scheme == "l1" else dt ** -alpha
-        self.lag = self.sigma
-        # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
-        self.anchor = _samples(u0)[()]
+        super().__init__(scheme, alpha, dt, u0)
         self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
         self.rev = self._table(alpha, n_steps + 1)[::-1].astype(self.hist.dtype)
 
@@ -331,17 +337,19 @@ def gl_coefficients(p: float, n: int) -> np.ndarray:
     return c
 
 
-# ---------------------------------------------------------------------------
-# scalar steppers: each returns (value, state), the state advanced in place
-
 def new_history(scheme: str, alpha: float, dt: float, u0, n_modes: int = 0):
-    """Evaluator of l1, fir, fidr or gl (any case) holding only u^0; fir and
-    fidr need ``n_modes``, the mode count (>= 1) of the kernel they will run on."""
-    scheme = scheme.lower()
+    """Evaluator of l1, fir, fidr or gl holding only u^0; fir and fidr need
+    ``n_modes``, the mode count (>= 1) of the kernel they will run on.  A
+    stream steps it with ``step(u)``, after ``use_kernel`` for a fast rule."""
+    _check_scheme(scheme)
     if scheme in ("fir", "fidr"):
         return FastHistory(scheme, alpha, dt, u0, n_modes)
     return DirectHistory(scheme, alpha, dt, u0)
 
+
+# ---------------------------------------------------------------------------
+# scalar steppers, each returning (value, state), outside ``__all__``:
+# perfbench's scalar streams call them until ROADMAP item 1 retires them
 
 def _fast_step(scheme: str, state, soe: SoEApproximation, u_n):
     if getattr(state, "scheme", None) != scheme:
@@ -384,8 +392,7 @@ def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
         raise ValueError("need at least two samples (one step)")
     if len(rev) < n or weights.scheme != "l1":
         raise ValueError(f"need an l1 table of {n} weights, have a {weights.scheme} one of {len(rev)}")
-    sigma = dt ** -weights.alpha / math.gamma(2.0 - weights.alpha)
-    return float(sigma * rev[-n:].dot(u[1:] - u[0]))
+    return float(_sigma("l1", weights.alpha, dt) * rev[-n:].dot(u[1:] - u[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def tail_integral(beta: float, p: float, t: float) -> float:
     Returns 0 when t*p > 700 (the value underflows double precision long
     before that).
     """
-    if beta <= 0 or p <= 0 or t <= 0:
+    if not (beta > 0 and p > 0 and t > 0):   # a NaN fails too
         raise ValueError("tail_integral requires beta, p, t > 0")
     x = t * p
     if x > 700.0:

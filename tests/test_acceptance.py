@@ -268,8 +268,8 @@ def test_criterion_6_nonlinear_self_convergence(nonlinear_reference):
 
 
 def test_criterion_7_truncation_bounds():
-    res_l1 = truncation_suite(variant="L1")
-    res_fidr = truncation_suite(variant="FIDR")
+    res_l1 = truncation_suite(variant="l1")
+    res_fidr = truncation_suite(variant="fidr")
     ok = res_l1["status"] == "pass" and res_fidr["status"] == "pass"
     assert report(7, ok, f"direct rule: {res_l1['checked']} checks, "
                          f"{len(res_l1['violations'])} violations; fast rule: "
@@ -301,8 +301,8 @@ def test_criterion_9_oracle_equivalence():
         w = l1_weights(alpha, n)
         base = np.array([l1_step(w, u[: k + 1], dt) for k in range(1, n + 1)])
         scale = float(np.max(np.abs(base)))
-        sf = new_history("FIR", alpha, dt, u[0], n_modes=fir_soe.n_modes)
-        sd = new_history("FIDR", alpha, dt, u[0], n_modes=fidr_soe.n_modes)
+        sf = new_history("fir", alpha, dt, u[0], n_modes=fir_soe.n_modes)
+        sd = new_history("fidr", alpha, dt, u[0], n_modes=fidr_soe.n_modes)
         vf = np.empty(n)
         vd = np.empty(n)
         for k in range(1, n + 1):

@@ -44,9 +44,11 @@ def test_theorem_constants_vanishing_kernel_error():
     np.testing.assert_allclose(mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
     np.testing.assert_allclose(rho, t_n ** (1.0 - alpha) / math.gamma(2.0 - alpha), rtol=1e-14)
     assert mu > 0
-    mu, _ = theorem_constants(alpha, t_n, 0.1, 0.0, "FIDR")   # any case
+    mu, _ = theorem_constants(alpha, t_n, 0.1, 0.0, "fidr")
     np.testing.assert_allclose(mu, t_n ** -alpha / math.gamma(1.0 - alpha), rtol=1e-14)
     assert mu > 0
+    with pytest.raises(ValueError):
+        theorem_constants(alpha, t_n, 0.1, 0.0, "FIDR")   # one spelling per rule
 
 
 def test_theorem_constants_fir_plug_in():
@@ -61,6 +63,11 @@ def test_theorem_constants_inadmissible_flag():
     assert mu < 0
     with pytest.raises(ValueError):
         theorem_constants(0.5, 1.0, 0.1, 0.0, "L2")
+    # an order outside (0, 1) gave numbers, (-0.282, -3.122) for fidr at 1.5
+    for alpha in (0.0, 1.0, 1.5, float("nan")):
+        for variant in ("fir", "fidr"):
+            with pytest.raises(ValueError, match="order"):
+                theorem_constants(alpha, 1.0, 0.1, 0.0, variant)
 
 
 def test_truncation_bound_plug_in():
@@ -68,13 +75,15 @@ def test_truncation_bound_plug_in():
     want = (0.1 ** 1.5 / math.gamma(1.5)) * (
         0.5 / 12.0 + 2.0 ** 1.5 / 1.5 - (1.0 + 2.0 ** -0.5)
     ) * 2.0
-    np.testing.assert_allclose(truncation_bound("L1", alpha, dt, 2.0), want, rtol=1e-14)
+    np.testing.assert_allclose(truncation_bound("l1", alpha, dt, 2.0), want, rtol=1e-14)
 
 
 def test_truncation_bound_variants_agree_without_kernel_error():
     b_l1 = truncation_bound("l1", 0.3, 0.01, 1.5)
     b_f = truncation_bound("fidr", 0.3, 0.01, 1.5, max_u1=2.0, t_prev=0.99, eps0=0.0)
-    assert b_l1 == b_f == truncation_bound("L1", 0.3, 0.01, 1.5)   # any case
+    assert b_l1 == b_f
+    with pytest.raises(ValueError):
+        truncation_bound("L1", 0.3, 0.01, 1.5)   # one spelling per rule
     assert truncation_bound("fidr", 0.3, 0.01, 1.5, 2.0, 0.99, 1e-3) > b_l1
 
 
@@ -94,16 +103,16 @@ def test_truncation_bound_covers_manufactured_time_slices():
             ref = g * math.exp(-x) * caputo_reference("power", alpha, t[n],
                                                       sigma=3.0 + alpha)
             max_u2 = (3.0 + alpha) * (2.0 + alpha) * t[n] ** (1.0 + alpha) * g * math.exp(-x)
-            assert abs(val - ref) <= truncation_bound("L1", alpha, dt, max_u2)
+            assert abs(val - ref) <= truncation_bound("l1", alpha, dt, max_u2)
 
 
 def test_truncation_bound_vanishes_with_dt():
     dts = [0.1 * 2.0 ** -k for k in range(8)]
-    vals = [truncation_bound("L1", 0.4, dt, 1.0) for dt in dts]
+    vals = [truncation_bound("l1", 0.4, dt, 1.0) for dt in dts]
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] < 1e-4
 
     with pytest.raises(ValueError):
-        truncation_bound("L1", 1.5, 0.1, 1.0)
+        truncation_bound("l1", 1.5, 0.1, 1.0)
     with pytest.raises(ValueError):
-        truncation_bound("GL", 0.5, 0.1, 1.0)
+        truncation_bound("gl", 0.5, 0.1, 1.0)

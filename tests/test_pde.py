@@ -308,6 +308,20 @@ def test_snapshot_stride():
     np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+@pytest.mark.parametrize("stride", [0, -1, 2.5, 5.0])
+@pytest.mark.parametrize("scheme,params", [("l1", None), ("fidr", BENCH)])
+def test_snapshot_stride_must_be_a_positive_integer(scheme, params, stride):
+    """0 divided by zero at step 1, -1 kept every step and 2.5 kept t = 0,
+    0.5 and 1; each is a ValueError now, raised before the problem is read."""
+    def initial(x):
+        raise AssertionError("set-up ran before the stride was checked")
+
+    prob = DiffusionProblem(0.4, 0.0, 1.0, initial, lambda x, t, u: np.zeros_like(x))
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        solve(prob, TimeGrid(0.1, 10), SpaceGrid(0.0, 1.0, 8), scheme, params,
+              snapshot_stride=stride)
+
+
 def test_solve_validation():
     prob = manufactured_problem(0.3)
     tg, sg = TimeGrid(0.1, 5), SpaceGrid(0.0, PI, 10)

@@ -56,10 +56,10 @@ def test_truncation_suites_pass_quick():
     thin = range(1, 1001, 97)
     res = truncation_suite(step_filter=thin)
     assert res["status"] == "pass"
-    res = truncation_suite(variant="FIDR", step_filter=thin)
+    res = truncation_suite(variant="fidr", step_filter=thin)
     assert res["status"] == "pass"
     with pytest.raises(ValueError):
-        truncation_suite(variant="GL")
+        truncation_suite(variant="gl")
 
 
 @pytest.mark.parametrize("steps", [[-3], [1001], [2.7]], ids=["negative", "past-end", "fraction"])

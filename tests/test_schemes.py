@@ -40,11 +40,11 @@ def run_scheme(scheme, alpha, u, dt, soe=None, p=None):
                         n_modes=soe.n_modes if soe is not None else 0)
     vals = np.empty(len(u) - 1)
     for n in range(1, len(u)):
-        if scheme == "FIR":
+        if scheme == "fir":
             vals[n - 1], state = fir_step(state, soe, u[n])
-        elif scheme == "FIDR":
+        elif scheme == "fidr":
             vals[n - 1], state = fidr_step(state, soe, u[n])
-        elif scheme == "GL":
+        elif scheme == "gl":
             vals[n - 1], state = gl_step(state, u[n], p)
         else:   # the L1 evaluator, stepped through its known/push split
             vals[n - 1] = state.sigma * u[n] + state.known()
@@ -113,7 +113,7 @@ def test_l1_quadratic_within_consistency_bound():
     t = dt * np.arange(n + 1)
     val = l1_step(l1_weights(alpha, n), t ** 2, dt)
     exact = math.gamma(3.0) / math.gamma(3.0 - alpha) * t[n] ** (2.0 - alpha)
-    assert abs(val - exact) <= truncation_bound("L1", alpha, dt, 2.0)
+    assert abs(val - exact) <= truncation_bound("l1", alpha, dt, 2.0)
 
 
 def test_l1_requires_one_step():
@@ -133,10 +133,10 @@ def test_l1_step_rejects_unfit_table():
 def test_fast_rules_zero_path():
     soe = build_soe(1.3, SoEParams.from_ladder(0, 10, 4, 4), 1e-2, 1.0)
     u = np.zeros(20)
-    vals = run_scheme("FIR", 0.3, u, 1e-2, soe=soe)
+    vals = run_scheme("fir", 0.3, u, 1e-2, soe=soe)
     np.testing.assert_array_equal(vals, 0.0)
     soe0 = build_soe(0.3, SoEParams.from_ladder(0, 10, 4, 4), 1e-2, 1.0)
-    vals = run_scheme("FIDR", 0.3, u, 1e-2, soe=soe0)
+    vals = run_scheme("fidr", 0.3, u, 1e-2, soe=soe0)
     np.testing.assert_array_equal(vals, 0.0)
 
 
@@ -150,12 +150,12 @@ def test_constant_path_gives_zero(scheme):
     u = np.full(15, c)
     rounding = 1e-13 * c * dt ** -alpha
     if scheme == "gl":
-        vals, tol = run_scheme("GL", alpha, u, dt, p=alpha), 0.0
+        vals, tol = run_scheme("gl", alpha, u, dt, p=alpha), 0.0
     elif scheme == "l1":
         vals, tol = l1_all(alpha, u, dt), rounding
     else:
         soe = build_soe(alpha + 1.0 if scheme == "fir" else alpha, TIGHT, dt, 1.0)
-        vals = run_scheme(scheme.upper(), alpha, u, dt, soe=soe)
+        vals = run_scheme(scheme, alpha, u, dt, soe=soe)
         t_prev = dt * np.arange(len(vals))
         tol = (0.0 if scheme == "fidr"
                else alpha * c * soe.bound * t_prev / math.gamma(1.0 - alpha) + rounding)
@@ -172,7 +172,7 @@ def test_field_rank_update_matches_streams(scheme):
     field = new_history(scheme, alpha, dt, paths[0], n_modes=soe.n_modes)
     field.use_kernel(soe)
     fields = np.array([field.step(u) for u in paths[1:]])
-    streams = np.column_stack([run_scheme(scheme.upper(), alpha, paths[:, j], dt, soe=soe)
+    streams = np.column_stack([run_scheme(scheme, alpha, paths[:, j], dt, soe=soe)
                                for j in range(paths.shape[1])])
     want = fast_rule_values(scheme, paths, dt, alpha, soe.nodes, soe.weights)
     for got in (fields, streams):
@@ -303,7 +303,7 @@ def test_l1_evaluator_matches_l1_step():
     rng = np.random.default_rng(3)
     alpha, dt = 0.35, 0.02
     u = rng.normal(size=40)
-    np.testing.assert_allclose(run_scheme("L1", alpha, u, dt), l1_all(alpha, u, dt),
+    np.testing.assert_allclose(run_scheme("l1", alpha, u, dt), l1_all(alpha, u, dt),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -313,11 +313,11 @@ def test_first_step_matches_direct_rule():
     alpha, dt = 0.25, 0.02
     direct = l1_step(l1_weights(alpha, 2), [u0, u1], dt)
     soe = build_soe(1.0 + alpha, SoEParams.from_ladder(0, 10, 4, 4), dt, 1.0)
-    state = new_history("FIR", alpha, dt, u0, n_modes=soe.n_modes)
+    state = new_history("fir", alpha, dt, u0, n_modes=soe.n_modes)
     val, state = fir_step(state, soe, u1)
     np.testing.assert_allclose(val, direct, rtol=1e-13)
     soe0 = build_soe(alpha, SoEParams.from_ladder(0, 10, 4, 4), dt, 1.0)
-    state0 = new_history("FIDR", alpha, dt, u0, n_modes=soe0.n_modes)
+    state0 = new_history("fidr", alpha, dt, u0, n_modes=soe0.n_modes)
     val0, _ = fidr_step(state0, soe0, u1)
     np.testing.assert_allclose(val0, direct, rtol=1e-13)
 
@@ -351,7 +351,7 @@ def test_fir_tracks_direct_within_kernel_budget():
     alpha, dt, n = 0.1, 1e-2, 50
     u = dt * np.arange(n + 1)
     soe = build_soe(1.0 + alpha, SoEParams.from_ladder(3, 13, 6, 8), dt, 1.0)
-    gap = np.max(np.abs(run_scheme("FIR", alpha, u, dt, soe=soe) - l1_all(alpha, u, dt)))
+    gap = np.max(np.abs(run_scheme("fir", alpha, u, dt, soe=soe) - l1_all(alpha, u, dt)))
     assert gap <= 10.0 * alpha * soe.bound
 
 
@@ -360,7 +360,7 @@ def test_fidr_tracks_direct_within_kernel_budget():
     u = dt * np.arange(n + 1)
     soe = build_soe(alpha, TIGHT, dt, 1.0)
     assert soe.bound <= 1e-10
-    gap = np.max(np.abs(run_scheme("FIDR", alpha, u, dt, soe=soe) - l1_all(alpha, u, dt)))
+    gap = np.max(np.abs(run_scheme("fidr", alpha, u, dt, soe=soe) - l1_all(alpha, u, dt)))
     # kernel-induced drift: eps0 * t_{n-1} * max|u'| / Gamma(1-alpha)
     assert gap <= soe.bound * (n - 1) * dt * 1.0 / math.gamma(1.0 - alpha) + 1e-14
 
@@ -374,7 +374,7 @@ def test_fidr_expanded_coefficients_cross_check():
     t = dt * np.arange(n + 1)
     u = c[0] + c[1] * t + c[2] * np.sin(3 * t) + c[3] * t ** 2
     soe = build_soe(alpha, SoEParams.from_ladder(0, 12, 5, 6), dt, 1.0)
-    vals = run_scheme("FIDR", alpha, u, dt, soe=soe)
+    vals = run_scheme("fidr", alpha, u, dt, soe=soe)
     g1 = math.gamma(1.0 - alpha)
     lead = 1.0 / ((1.0 - alpha) * dt ** alpha)
     for m in (2, 17, 60):
@@ -410,10 +410,10 @@ def test_expanded_leading_weight_cap():
 
 def test_mode_count_mismatch_rejected():
     soe = build_soe(1.3, SoEParams.from_ladder(0, 10, 4, 4), 1e-2, 1.0)
-    state = new_history("FIR", 0.3, 1e-2, 0.0, n_modes=soe.n_modes + 1)
+    state = new_history("fir", 0.3, 1e-2, 0.0, n_modes=soe.n_modes + 1)
     with pytest.raises(ValueError):
         fir_step(state, soe, 1.0)
-    state = new_history("FIDR", 0.3, 1e-2, 0.0, n_modes=3)
+    state = new_history("fidr", 0.3, 1e-2, 0.0, n_modes=3)
     with pytest.raises(ValueError):
         fir_step(state, soe, 1.0)   # wrong scheme tag
 
@@ -430,7 +430,7 @@ def test_kernel_of_wrong_order_rejected(scheme, beta):
 # --- binomial baseline -------------------------------------------------------
 
 def test_gl_zero_path():
-    vals = run_scheme("GL", 0.5, np.zeros(10), 0.1, p=0.5)
+    vals = run_scheme("gl", 0.5, np.zeros(10), 0.1, p=0.5)
     np.testing.assert_array_equal(vals, 0.0)
 
 
@@ -443,13 +443,13 @@ def test_gl_coefficients_integer_boundary():
 def test_gl_linear_path_first_order():
     p, dt, n = 0.5, 1e-3, 1000
     u = dt * np.arange(n + 1)
-    vals = run_scheme("GL", p, u, dt, p=p)
+    vals = run_scheme("gl", p, u, dt, p=p)
     exact = u[n] ** 0.5 / math.gamma(1.5)
     assert abs(vals[-1] - exact) <= 0.02 * exact
 
 
 def test_gl_buffer_grows_per_step():
-    state = new_history("GL", 0.5, 0.1, 1.0)
+    state = new_history("gl", 0.5, 0.1, 1.0)
     np.testing.assert_array_equal(state.hist[:1], [0.0])   # stored as u - u0
     _, state = gl_step(state, 2.0, 0.5)
     _, state = gl_step(state, 3.0, 0.5)
@@ -475,7 +475,7 @@ def test_complex_gl_weights_take_the_samples_dtype():
 
 
 def test_gl_rejects_out_of_range_order():
-    state = new_history("GL", 0.5, 0.1, 0.0)
+    state = new_history("gl", 0.5, 0.1, 0.0)
     with pytest.raises(ValueError):
         gl_step(state, 1.0, 1.0)
 
@@ -562,8 +562,8 @@ def test_scheme_agreement_sample_paths():
         assert fir.bound <= 1e-12 and fidr.bound <= 1e-12
         base = l1_all(alpha, u, dt)
         scale = np.max(np.abs(base))
-        assert np.max(np.abs(run_scheme("FIR", alpha, u, dt, soe=fir) - base)) <= 1e-9 * scale
-        assert np.max(np.abs(run_scheme("FIDR", alpha, u, dt, soe=fidr) - base)) <= 1e-9 * scale
+        assert np.max(np.abs(run_scheme("fir", alpha, u, dt, soe=fir) - base)) <= 1e-9 * scale
+        assert np.max(np.abs(run_scheme("fidr", alpha, u, dt, soe=fidr) - base)) <= 1e-9 * scale
 
 
 # 0, or far enough from 0 that a * u stays clear of subnormal numbers,

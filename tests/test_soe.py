@@ -302,6 +302,10 @@ def test_tail_integral_validation():
         tail_integral(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tail_integral(1.1, -1.0, 1.0)
+    # a NaN argument is refused, not returned as nan
+    for args in ((math.nan, 1.0, 1.0), (1.1, math.nan, 1.0), (1.1, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            tail_integral(*args)
 
 
 def test_build_validation():
