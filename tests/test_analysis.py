@@ -63,7 +63,8 @@ def test_theorem_constants_inadmissible_flag():
     assert mu < 0
     with pytest.raises(ValueError):
         theorem_constants(0.5, 1.0, 0.1, 0.0, "L2")
-    # an order outside (0, 1) gave numbers, (-0.282, -3.122) for fidr at 1.5
+    # an order outside (0, 1) would give meaningless constants, such as
+    # (-0.282, -3.122) for fidr at 1.5
     for alpha in (0.0, 1.0, 1.5, float("nan")):
         for variant in ("fir", "fidr"):
             with pytest.raises(ValueError, match="order"):

@@ -311,8 +311,9 @@ def test_snapshot_stride():
 @pytest.mark.parametrize("stride", [0, -1, 2.5, 5.0])
 @pytest.mark.parametrize("scheme,params", [("l1", None), ("fidr", BENCH)])
 def test_snapshot_stride_must_be_a_positive_integer(scheme, params, stride):
-    """0 divided by zero at step 1, -1 kept every step and 2.5 kept t = 0,
-    0.5 and 1; each is a ValueError now, raised before the problem is read."""
+    """A stride of 0 would divide by zero at step 1, -1 would keep every
+    step and 2.5 only t = 0, 0.5 and 1: each is a ValueError, raised
+    before the problem is read."""
     def initial(x):
         raise AssertionError("set-up ran before the stride was checked")
 
