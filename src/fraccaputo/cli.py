@@ -20,7 +20,7 @@ import numpy as np
 
 from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
-from .quadrature import ConstructionError
+from .quadrature import ConstructionError, _check_name
 from .schemes import SCHEMES, TimeGrid, _check_step, kernel_order
 from .soe import SoEParams, build_soe, soe_max_error, tail_integral
 
@@ -266,8 +266,8 @@ def main(argv=None) -> int:
                     setattr(args, key, parse(text))
                 except ValueError:
                     raise ValueError(f"{key} {text!r} is not of type {parse.__name__}") from None
-                if key in CHOICES and text not in CHOICES[key]:  # choices are strings
-                    raise ValueError(f"{key} {text!r} is not one of {CHOICES[key]}")
+                if key in CHOICES:  # choices are strings
+                    _check_name(key, text, CHOICES[key])
         return handler(args)
     except (ValueError, MemoryError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)

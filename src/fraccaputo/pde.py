@@ -16,7 +16,6 @@ field lagged one step, so a reaction term needs no Newton iteration.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -24,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .schemes import DirectHistory, FastHistory, TimeGrid, _check_order, _check_scheme, kernel_order
+from .quadrature import _check_count, _check_name, _check_positive
+from .schemes import SCHEMES, DirectHistory, FastHistory, TimeGrid, _check_order, kernel_order
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -46,8 +46,7 @@ class SpaceGrid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_cells, numbers.Integral) and self.n_cells >= 2):
-            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
+        _check_count("n_cells", self.n_cells, 2)
         if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):
             raise ValueError(f"need finite ends x_lo < x_hi, got {self.x_lo!r}, {self.x_hi!r}")
 
@@ -56,8 +55,7 @@ class SpaceGrid:
         """Grid whose spacing is as close to h as an integer cell count
         allows; a ValueError for h not positive, leaving under 2 cells or
         so small that the cell count is not finite."""
-        if not h > 0:
-            raise ValueError(f"spacing h must be positive, got {h}")
+        _check_positive("spacing h", h)
         cells = (x_hi - x_lo) / h
         if not math.isfinite(cells):
             raise ValueError(f"(x_hi - x_lo) / h = {cells} is not a finite cell count")
@@ -165,10 +163,10 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     The problem's callables see one grid array for the whole run, which
     must not change while the run holds it.
     """
-    _check_scheme(scheme)
-    if not (snapshot_stride is None
-            or isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
-        raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+    _check_name("scheme", scheme, SCHEMES)
+    if snapshot_stride is None:
+        snapshot_stride = max(1, tgrid.n_steps // 10)
+    _check_count("snapshot_stride", snapshot_stride, 1)
     if scheme in ("fir", "fidr") and soe_params is None:
         raise ValueError(f"scheme {scheme!r} needs kernel partition parameters")
     if scheme in ("fir", "fidr") and tgrid.n_steps < 2:
@@ -204,8 +202,6 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
 
     lu = _factor(_banded_matrix(len(x), h, interior.sigma, boundary.sigma))
 
-    if snapshot_stride is None:
-        snapshot_stride = max(1, n_steps // 10)
     snapshots = [(0.0, u0.copy())]
 
     err_sq_sum = 0.0

@@ -16,11 +16,12 @@ Rules are named as in the rest of the package: l1, fir, fidr, gl.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .schemes import DirectHistory, _check_order, caputo_reference, kernel_order, new_history
+from .quadrature import _check_count, _check_name
+from .schemes import (DirectHistory, _check_order, _check_step, caputo_reference, kernel_order,
+                      new_history)
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -39,21 +40,23 @@ __all__ = [
 def theorem_constants(alpha: float, t_n: float, dt: float, eps: float,
                       variant: str) -> tuple[float, float]:
     """The constants (mu, rho) of the discrete energy estimate of the fast
-    rule ``variant`` (fir or fidr) at t_n under kernel error eps.
+    rule ``variant`` (fir or fidr) at t_n >= dt under kernel error eps.
 
     The estimate is vacuous unless mu > 0: a kernel error too large for
     that leaves nothing to check.
     """
+    _check_name("variant", variant, ("fir", "fidr"))
     _check_order(alpha)
+    _check_step(dt)
+    if not t_n >= dt:   # t_{n-1} >= 0; a NaN fails too
+        raise ValueError(f"need t_n >= dt, got t_n = {t_n!r}, dt = {dt!r}")
     g1, g2 = math.gamma(1.0 - alpha), math.gamma(2.0 - alpha)
     t_prev = t_n - dt
     if variant == "fir":
         return ((t_n ** -alpha - 2.0 * alpha * eps * t_prev) / g1,
                 (t_n ** (1.0 - alpha) - alpha * (1.0 - alpha) * eps * t_prev * dt) / g2)
-    if variant == "fidr":
-        return ((t_n ** -alpha - eps) / g1,
-                (dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha) / (2.0 * g1))
-    raise ValueError(f"variant must be fir or fidr, got {variant!r}")
+    return ((t_n ** -alpha - eps) / g1,
+            (dt ** (1.0 - alpha) / (1.0 - alpha) + t_prev * dt ** -alpha) / (2.0 * g1))
 
 
 def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,
@@ -62,7 +65,9 @@ def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,
     """One-step consistency bound of the direct rule (``l1``), plus the
     kernel term eps0 * t_prev * max|u'| / Gamma(1-alpha) for the
     increment-based fast rule (``fidr``), elementwise in arrays max_u1, t_prev."""
+    _check_name("variant", variant, ("l1", "fidr"))
     _check_order(alpha)
+    _check_step(dt)
     base = (
         dt ** (2.0 - alpha)
         / math.gamma(2.0 - alpha)
@@ -71,9 +76,7 @@ def truncation_bound(variant: str, alpha: float, dt: float, max_u2: float,
     )
     if variant == "l1":
         return base
-    if variant == "fidr":
-        return base + eps0 * t_prev * max_u1 / math.gamma(1.0 - alpha)
-    raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
+    return base + eps0 * t_prev * max_u1 / math.gamma(1.0 - alpha)
 
 
 _SLACK = 1e-12  # absolute-plus-relative float slack on inequality checks
@@ -196,13 +199,11 @@ def truncation_suite(variant: str = "l1", step_filter=None) -> dict:
     (plus the certified kernel term for the increment-based fast rule).
     A step that is not an integer in 1..1000 is a ``ValueError``.
     """
-    if variant not in ("l1", "fidr"):
-        raise ValueError(f"variant must be l1 or fidr, got {variant!r}")
+    _check_name("variant", variant, ("l1", "fidr"))
     dt, n_max = 1e-3, 1000
     steps = range(1, n_max + 1) if step_filter is None else list(step_filter)
     for n in steps:
-        if not (isinstance(n, numbers.Integral) and 1 <= n <= n_max):
-            raise ValueError(f"steps must be integers in 1..{n_max}, got {n!r}")
+        _check_count("each step", n, 1, n_max)
     steps = np.array(steps, dtype=np.intp)
     t = dt * np.arange(n_max + 1)
     t_n, t_prev = t[steps], t[steps - 1]

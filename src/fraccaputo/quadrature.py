@@ -14,10 +14,12 @@ rule is the caller's own, and equal bit for bit to one solved afresh.
 Legendre also takes arrays of endpoints: one call maps the rule to every
 interval of a ladder at once, and its ``QuadRule`` holds one row of nodes
 and weights per interval, each row equal bit for bit to that interval's
-scalar call.
+scalar call.  The package's shared input checks live here as well.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +35,25 @@ MAX_NODES = 64
 
 class ConstructionError(RuntimeError):
     """Raised when a numerical construction (rule, kernel) fails."""
+
+
+def _check_count(name: str, value, least, most=math.inf) -> None:
+    """A ``ValueError`` unless ``value`` is an integer (numpy's too) in [least, most]."""
+    if not (isinstance(value, numbers.Integral) and least <= value <= most):
+        span = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _check_name(kind: str, value, allowed) -> None:
+    """A ``ValueError`` naming ``allowed`` unless ``value`` is one of them."""
+    if value not in allowed:
+        raise ValueError(f"unknown {kind} {value!r}; pick one of {allowed}")
+
+
+def _check_positive(name: str, value) -> None:
+    """A ``ValueError`` unless every entry of ``value`` is > 0, so a NaN fails."""
+    if not (np.asarray(value) > 0).all():
+        raise ValueError(f"need {name} > 0, got {np.min(value)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +105,6 @@ def _weight_moment(lo: float, hi: float, gamma: float) -> float:
     return (hi ** (gamma + 1.0) - lo ** (gamma + 1.0)) / (gamma + 1.0)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"rule size must be >= 1, got n={n}")
-    if n > MAX_NODES:
-        raise ValueError(f"rule size capped at {MAX_NODES}, got n={n}")
-
-
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, family: str):
     """Nodes x and first-component weights vec[0]**2 of the Jacobi matrix
     with diagonal ``diag`` and off-diagonal ``off`` (n = 1 included)."""
@@ -116,7 +130,7 @@ def gauss_legendre(n: int, lo, hi) -> QuadRule:
         ``lo.shape + (n,)``, each row the same ``mid + half * x`` and
         ``half * w`` arithmetic, so scalar ends give one rule of shape (n,).
     """
-    _check_n(n)
+    _check_count("rule size n", n, 1, MAX_NODES)
     x, w = _legendre(n)
     lo, hi = np.broadcast_arrays(np.array(lo, dtype=float), np.array(hi, dtype=float))
     empty = np.flatnonzero(~(lo < hi))   # a NaN end makes an empty interval too
@@ -160,11 +174,10 @@ def gauss_jacobi_power(n: int, gamma: float, a: float) -> QuadRule:
     [-1, 1] under s = (1 + x) / 2; the recurrence coefficients of the
     corresponding monic Jacobi polynomials fill the tridiagonal matrix.
     """
-    _check_n(n)
+    _check_count("rule size n", n, 1, MAX_NODES)
     if not -1.0 < gamma < 1.0:
         raise ValueError(f"weight exponent must lie in (-1, 1), got {gamma}")
-    if not a > 0:
-        raise ValueError(f"need a > 0, got {a}")
+    _check_positive("a", a)
     x, v0sq = _jacobi(n, gamma)
     nodes = a * (1.0 + x) / 2.0
     weights = a ** (gamma + 1.0) / (gamma + 1.0) * v0sq

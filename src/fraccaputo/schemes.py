@@ -28,13 +28,13 @@ tables of rows when it binds its kernel (``_mode_tables``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .quadrature import ConstructionError, gauss_jacobi_power
+from .quadrature import (ConstructionError, _check_count, _check_name, _check_positive,
+                         gauss_jacobi_power)
 from .soe import SoEApproximation
 
 __all__ = [
@@ -65,8 +65,7 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         _check_step(self.dt)
-        if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        _check_count("n_steps", self.n_steps, 1)
 
     @property
     def horizon(self) -> float:
@@ -150,11 +149,6 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"step dt must be positive and finite, got {dt}")
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-
-
 def _sigma(scheme: str, alpha: float, dt: float) -> float:
     """The factor of u^n in D u^n: dt**-alpha / Gamma(2-alpha), or dt**-alpha for gl."""
     return dt ** -alpha if scheme == "gl" else dt ** -alpha / math.gamma(2.0 - alpha)
@@ -209,11 +203,8 @@ class _Evaluator:
 def kernel_order(scheme: str, alpha: float) -> float:
     """Order beta of the kernel t**-beta that the fast rule of order alpha
     compresses: alpha + 1 for fir, alpha for fidr; other rules have none."""
-    if scheme == "fir":
-        return alpha + 1.0
-    if scheme == "fidr":
-        return alpha
-    raise ValueError(f"{scheme!r} is not a fast rule (fir or fidr)")
+    _check_name("fast rule", scheme, ("fir", "fidr"))
+    return alpha + 1.0 if scheme == "fir" else alpha
 
 
 class FastHistory(_Evaluator):
@@ -239,9 +230,7 @@ class FastHistory(_Evaluator):
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         self.beta = kernel_order(scheme, alpha)
         super().__init__(scheme, alpha, dt, u0, float)
-        if not (isinstance(n_modes, numbers.Integral) and n_modes >= 1):
-            raise ValueError(f"n_modes, the kernel's mode count, must be an integer >= 1, "
-                             f"got {n_modes!r}")
+        _check_count("n_modes", n_modes, 1)
         self.u0, self.age = self.anchor, 0
         self.modes = np.zeros((n_modes,) + np.shape(self.u0))
         # the (points x modes) view of modes that push updates, Fortran-ordered
@@ -301,9 +290,8 @@ class DirectHistory(_Evaluator):
     to that dtype, so that a complex contraction casts no slice per step."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_steps: int = 1):
-        self._table = {"l1": _l1_coefficients, "gl": gl_coefficients}.get(scheme)
-        if self._table is None:
-            raise ValueError(f"{scheme!r} is not a full-history rule (l1 or gl)")
+        _check_name("full-history rule", scheme, ("l1", "gl"))
+        self._table = _l1_coefficients if scheme == "l1" else gl_coefficients
         super().__init__(scheme, alpha, dt, u0)
         self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
         self.rev = self._table(alpha, n_steps + 1)[::-1].astype(self.hist.dtype)
@@ -341,7 +329,7 @@ def new_history(scheme: str, alpha: float, dt: float, u0, n_modes: int = 0):
     """Evaluator of l1, fir, fidr or gl holding only u^0; fir and fidr need
     ``n_modes``, the mode count (>= 1) of the kernel they will run on.  A
     stream steps it with ``step(u)``, after ``use_kernel`` for a fast rule."""
-    _check_scheme(scheme)
+    _check_name("scheme", scheme, SCHEMES)
     if scheme in ("fir", "fidr"):
         return FastHistory(scheme, alpha, dt, u0, n_modes)
     return DirectHistory(scheme, alpha, dt, u0)
@@ -399,8 +387,8 @@ def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
 # independent reference values
 
 def caputo_reference(family: str, alpha: float, t, sigma: float | None = None):
-    """Fractional derivative of u = t**sigma or u = sin t at time t: a float,
-    or an array for an array t.
+    """Fractional derivative of order alpha in (0, 1) of u = t**sigma or
+    u = sin t at times t > 0: a float, or an array for an array t.
 
     ``family="power"`` uses the exact rule for u = t**sigma:
     Gamma(sigma+1)/Gamma(sigma+1-alpha) * t**(sigma-alpha).  ``family="sin"``
@@ -410,14 +398,15 @@ def caputo_reference(family: str, alpha: float, t, sigma: float | None = None):
     the 64-node value, or a ``ConstructionError`` unless the two agree to
     1e-10 relative at every t (they do not at a large t).
     """
+    _check_name("family", family, ("power", "sin"))
+    _check_order(alpha)
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ValueError("reference requires t > 0")
+    _check_positive("t", t)
     if family == "power":
         if sigma is None:
             raise ValueError("power family needs the exponent sigma")
         val = math.gamma(sigma + 1.0) / math.gamma(sigma + 1.0 - alpha) * t ** (sigma - alpha)
-    elif family == "sin":
+    else:
         rules = [gauss_jacobi_power(n, -alpha, 1.0) for n in (32, 64)]
         coarse, val = (np.sum(r.weights * np.cos(np.multiply.outer(t, 1.0 - r.nodes)), axis=-1)
                        for r in rules)
@@ -425,6 +414,4 @@ def caputo_reference(family: str, alpha: float, t, sigma: float | None = None):
         if not achieved <= 1e-10:
             raise ConstructionError(f"reference quadrature stalled at rel. {achieved:.2e}")
         val = t ** (1.0 - alpha) / math.gamma(1.0 - alpha) * val
-    else:
-        raise ValueError(f"unknown family {family!r}")
     return float(val) if val.ndim == 0 else val

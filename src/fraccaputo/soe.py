@@ -13,13 +13,13 @@ hence two bound formulas).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .quadrature import ConstructionError, gauss_jacobi_power, gauss_legendre
+from .quadrature import (ConstructionError, _check_count, _check_positive, gauss_jacobi_power,
+                         gauss_legendre)
 
 __all__ = [
     "SoEParams",
@@ -57,16 +57,10 @@ class SoEParams:
     n2: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "n1", "n2"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.a < self.b:
-            raise ValueError(f"ladder is empty: a={self.a} must be < b={self.b}")
-        if self.n1 < 0:
-            raise ValueError("n1 must be >= 0")
-        if self.n2 < 1:
-            raise ValueError("n2 must be >= 1")
+        _check_count("a", self.a, -math.inf)
+        _check_count("b", self.b, self.a + 1)   # a ladder of at least one interval
+        _check_count("n1", self.n1, 0)
+        _check_count("n2", self.n2, 1)
 
     @classmethod
     def from_ladder(cls, a: int, b: int, n1: int, n2: int) -> "SoEParams":
@@ -118,9 +112,7 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
     one row per dyadic interval, in increasing order.
     ``bound`` is the sum of ``soe_error_bound_terms``.
     """
-    if not 0 < delta < horizon:
-        raise ValueError("need 0 < delta < horizon")
-    # first, so that an order whose Gamma(beta) overflows fails there as bad input
+    # first, so that a bad window, or an order whose Gamma(beta) overflows, fails there
     eps = sum(soe_error_bound_terms(beta, params, delta, horizon))
     gb = math.gamma(beta)
     a, b = params.a, params.b
@@ -142,8 +134,7 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
 def soe_eval(soe: SoEApproximation, t):
     """Evaluate sum(w_i * exp(-s_i * t)); t may be a scalar or an array."""
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0):   # a NaN fails too
-        raise ValueError("kernel evaluation requires t > 0")
+    _check_positive("t", t_arr)
     # one (samples, modes) buffer; -t * s is -(t * s) bit for bit
     damp = np.multiply.outer(-t_arr, soe.nodes)
     out = np.exp(damp, out=damp) @ soe.weights
@@ -157,11 +148,14 @@ def soe_error_bound_terms(
     closed-form bound on max_{[delta,horizon]} |t**-beta - soe(t)|.
 
     beta in (1, 2) and beta in (0, 1) use different closed forms; beta = 1
-    is outside both and rejected.  With n1 = 0 the low-band term is the
-    dropped integral (1/Gamma(beta)) int_0^{2**a} exp(-t*s) s**(beta-1) ds,
-    which decreases in t and so peaks at t = delta.  An overflow, of
-    Gamma(beta) or of a term, is a ``ValueError`` naming beta and the window.
+    is outside both and rejected, as is a window without 0 < delta < horizon.
+    With n1 = 0 the low-band term is the dropped integral (1/Gamma(beta))
+    int_0^{2**a} exp(-t*s) s**(beta-1) ds, which decreases in t and so
+    peaks at t = delta.  An overflow, of Gamma(beta) or of a term, is a
+    ``ValueError`` naming beta and the window.
     """
+    if not 0 < delta < horizon:
+        raise ValueError(f"need 0 < delta < horizon, got [{delta!r}, {horizon!r}]")
     if not (0.0 < beta < 1.0 or 1.0 < beta < 2.0):
         raise ValueError(f"bound is defined for beta in (0,1) or (1,2), got {beta}")
     a, b, n1, n2 = params.a, params.b, params.n1, params.n2
@@ -205,8 +199,7 @@ def soe_max_error(soe: SoEApproximation, n_samples: int):
     Log-uniform sampling concentrates points near delta, where the error
     peaks.
     """
-    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
-        raise ValueError(f"need an integer of at least 2 samples, got {n_samples!r}")
+    _check_count("n_samples", n_samples, 2)
     t = np.geomspace(soe.delta, soe.horizon, n_samples)
     err = np.abs(t ** -soe.beta - soe_eval(soe, t))
     return float(err.max()), np.column_stack([t, err])
@@ -219,8 +212,7 @@ def tail_integral(beta: float, p: float, t: float) -> float:
     Returns 0 when t*p > 700 (the value underflows double precision long
     before that).
     """
-    if not (beta > 0 and p > 0 and t > 0):   # a NaN fails too
-        raise ValueError("tail_integral requires beta, p, t > 0")
+    _check_positive("beta, p and t", (beta, p, t))
     x = t * p
     if x > 700.0:
         return 0.0

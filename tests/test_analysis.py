@@ -69,6 +69,14 @@ def test_theorem_constants_inadmissible_flag():
         for variant in ("fir", "fidr"):
             with pytest.raises(ValueError, match="order"):
                 theorem_constants(alpha, 1.0, 0.1, 0.0, variant)
+    # a step that is not positive and finite (dt = -0.1 would give a complex
+    # rho), or a time t_n < dt, whose t_{n-1} is negative (t_n = 0 would
+    # divide by zero)
+    for t_n, dt in ((1.0, -0.1), (1.0, 0.0), (1.0, math.nan), (0.0, 0.1), (0.05, 0.1),
+                    (math.nan, 0.1)):
+        for variant in ("fir", "fidr"):
+            with pytest.raises(ValueError, match="dt"):
+                theorem_constants(0.5, t_n, dt, 0.0, variant)
 
 
 def test_truncation_bound_plug_in():
@@ -85,6 +93,11 @@ def test_truncation_bound_variants_agree_without_kernel_error():
     assert b_l1 == b_f
     with pytest.raises(ValueError):
         truncation_bound("L1", 0.3, 0.01, 1.5)   # one spelling per rule
+    # a step that is not positive and finite (dt = -0.1 would give a complex bound)
+    for dt in (-0.1, 0.0, math.nan, math.inf):
+        for variant in ("l1", "fidr"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                truncation_bound(variant, 0.3, dt, 1.5)
     assert truncation_bound("fidr", 0.3, 0.01, 1.5, 2.0, 0.99, 1e-3) > b_l1
 
 

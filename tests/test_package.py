@@ -1,5 +1,8 @@
+import ast
 import builtins
 import importlib
+import inspect
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -8,11 +11,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraccaputo
-from fraccaputo import schemes
+from fraccaputo import quadrature, schemes
 from fraccaputo.pde import DiffusionProblem, SpaceGrid, solve
 from fraccaputo.property_suite import theorem_constants, truncation_bound, truncation_suite
+from fraccaputo.quadrature import gauss_jacobi_power, gauss_legendre
 from fraccaputo.schemes import SCHEMES, TimeGrid, kernel_order, new_history
-from fraccaputo.soe import SoEParams
+from fraccaputo.soe import SoEParams, build_soe, soe_max_error
 
 
 def test_public_names_are_pinned():
@@ -46,9 +50,10 @@ def test_no_public_name_shadows_a_builtin():
     assert shadowing == []
 
 
-def _solve(name):
+def _solve(name, snapshot_stride=None):
     problem = DiffusionProblem(0.5, 0.0, 1.0, np.zeros_like, lambda x, t, u: np.zeros_like(x))
-    return solve(problem, TimeGrid(0.1, 2), SpaceGrid(0.0, 1.0, 4), name, SoEParams(3, 10, 4, 3))
+    return solve(problem, TimeGrid(0.1, 2), SpaceGrid(0.0, 1.0, 4), name, SoEParams(3, 10, 4, 3),
+                 snapshot_stride=snapshot_stride)
 
 
 #: every entry point that takes a rule name: a call on the name, and the names it takes
@@ -88,3 +93,56 @@ def test_any_other_rule_name_is_a_value_error(entry, name):
     assume(name not in names)
     with pytest.raises(ValueError):
         call(name)
+
+
+_KERNEL = build_soe(0.5, SoEParams(3, 10, 4, 3), 1e-2, 1.0)
+
+#: every entry point that takes a count: a call on the count, the least count
+#: it takes, and the values it also takes in place of a count
+COUNTS = {
+    "TimeGrid.n_steps": (lambda n: TimeGrid(0.1, n), 1, ()),
+    "new_history.n_modes": (lambda n: new_history("fir", 0.5, 0.1, 0.0, n_modes=n), 1, ()),
+    "SpaceGrid.n_cells": (lambda n: SpaceGrid(0.0, 1.0, n), 2, ()),
+    "solve.snapshot_stride": (lambda n: _solve("fidr", snapshot_stride=n), 1, (None,)),
+    "SoEParams.b": (lambda n: SoEParams(3, n, 4, 3), 4, ()),
+    "SoEParams.n1": (lambda n: SoEParams(3, 10, n, 3), 0, ()),
+    "SoEParams.n2": (lambda n: SoEParams(3, 10, 4, n), 1, ()),
+    "soe_max_error.n_samples": (lambda n: soe_max_error(_KERNEL, n), 2, ()),
+    "truncation_suite.steps": (lambda n: truncation_suite("fidr", step_filter=[n]), 1, ()),
+    "gauss_legendre.n": (lambda n: gauss_legendre(n, 0.0, 1.0), 1, ()),
+    "gauss_jacobi_power.n": (lambda n: gauss_jacobi_power(n, 0.5, 1.0), 1, ()),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(kind=st.sampled_from([int, np.int64, np.int32, np.uint16]), below=st.integers(1, 2 ** 40),
+       other=st.one_of(st.floats(), st.none(), st.text(max_size=3), st.lists(st.integers(1, 3))))
+@example(kind=int, below=1, other=2.5)
+@example(kind=np.int64, below=1, other=None)
+@example(kind=int, below=1, other="3")
+def test_counts_are_integers_from_their_least(entry, kind, below, other):
+    """A count is a Python or numpy integer of at least its least value;
+    one below it, a float (3.0 included), None or a string is a ValueError."""
+    call, least, also = COUNTS[entry]
+    call(kind(least))
+    for bad in (least - below, other):
+        if bad not in also:
+            with pytest.raises(ValueError):
+                call(bad)
+
+
+def _integral_uses(source):
+    """The times ``source`` names ``Integral``: as an attribute, a name or an import."""
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Attribute) and node.attr == "Integral"
+               or isinstance(node, ast.Name) and node.id == "Integral"
+               or isinstance(node, ast.alias) and node.name == "Integral")
+
+
+def test_integer_check_is_written_once():
+    """Only ``quadrature._check_count`` asks for a ``numbers.Integral``:
+    every count check in the package goes through it."""
+    package = pathlib.Path(fraccaputo.__file__).parent
+    uses = sum(_integral_uses(path.read_text()) for path in package.glob("*.py"))
+    assert uses == _integral_uses(inspect.getsource(quadrature._check_count)) == 1

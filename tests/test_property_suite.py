@@ -66,7 +66,7 @@ def test_truncation_suites_pass_quick():
 def test_truncation_steps_must_be_integers_in_range(steps):
     # unchecked, -3 would index step 997, 1001 would index past the path and
     # 2.7 would check step 2
-    with pytest.raises(ValueError, match="integers in 1..1000"):
+    with pytest.raises(ValueError, match="integer in 1..1000"):
         truncation_suite(step_filter=steps)
 
 

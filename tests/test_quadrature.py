@@ -229,6 +229,10 @@ def test_nodes_inside_open_interval():
     lambda: gauss_jacobi_power(3, -1.0, 1.0),
     lambda: gauss_jacobi_power(3, 1.3, 1.0),
     lambda: gauss_jacobi_power(3, 0.0, -2.0),
+    # a rule size that is no integer, a float 3.0 included
+    lambda: gauss_legendre(2.5, 0.0, 1.0),
+    lambda: gauss_legendre(3.0, 0.0, 1.0),
+    lambda: gauss_jacobi_power(2.5, 0.5, 1.0),
 ])
 def test_domain_errors(bad_call):
     with pytest.raises(ValueError):

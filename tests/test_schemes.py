@@ -524,6 +524,11 @@ def test_reference_validation():
         caputo_reference("power", 0.5, 1.0)
     with pytest.raises(ValueError):
         caputo_reference("cosh", 0.5, 1.0)
+    # an order outside (0, 1): "power" would return 0.752 at -0.5 and 0.564 at 1.5
+    for alpha in (-0.5, 0.0, 1.0, 1.5, math.nan):
+        for family in ("power", "sin"):
+            with pytest.raises(ValueError, match="order"):
+                caputo_reference(family, alpha, 1.0, sigma=1.0)
     # at t = 100 the 64-node rule still misses 1e-10 by far
     with pytest.raises(ConstructionError, match="stalled"):
         caputo_reference("sin", 0.5, 100.0)

@@ -56,7 +56,7 @@ def test_numpy_integer_params_and_samples_are_valid():
 @pytest.mark.parametrize("n_samples", [2.5, 100.0, None])
 def test_max_error_sample_count_must_be_an_integer(n_samples):
     soe = build_soe(0.5, BENCH, 1e-2, 1.0)
-    with pytest.raises(ValueError, match="at least 2 samples"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
         soe_max_error(soe, n_samples)
 
 
@@ -320,6 +320,12 @@ def test_build_validation():
     with pytest.raises(ValueError, match="overflows on the window"):
         # each factor of the low-band term is finite, their product is not
         build_soe(1.5, SoEParams(664, 665, 1, 3), 1e-196, 7e-196)
+    # the bound checks its own window; unchecked, a negative delta ends in a
+    # TypeError and a negative or too short horizon gives finite terms
+    for delta, horizon in ((-1e-3, 1.0), (0.0, 1.0), (1e-3, -1.0), (0.5, 0.1), (math.nan, 1.0)):
+        for beta in (0.5, 1.5):
+            with pytest.raises(ValueError, match="0 < delta < horizon"):
+                soe_error_bound_terms(beta, BENCH, delta, horizon)
 
 
 @pytest.mark.parametrize("build", [lambda: gauss_legendre(4, 0.0, 1.0),
