@@ -21,7 +21,7 @@ import numpy as np
 from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
 from .quadrature import ConstructionError, _check_name
-from .schemes import SCHEMES, TimeGrid, _check_step, kernel_order
+from .schemes import SCHEMES, TimeGrid, _check_order, _check_step, kernel_order
 from .soe import SoEParams, build_soe, soe_max_error, tail_integral
 
 EXIT_OK = 0
@@ -137,6 +137,7 @@ def cmd_tail_table(args) -> int:
 def cmd_soe_error(args) -> int:
     """Kernel-compression error curves of both fast schemes on [1e-3, 1]."""
     alpha, n_samples = args.alpha, args.samples
+    _check_order(alpha)
     params = _soe_params(args)
     delta, horizon = 1e-3, 1.0
     # both curves are (t, error) rows on the same times; fir's is scaled by alpha

@@ -285,7 +285,8 @@ class DirectHistory(_Evaluator):
     every sample so far less u^0, and ``rev`` the L = len(hist) + 1 weights
     reversed and contiguous, so step n contracts rev[L-1-n : L-1] @ hist[:n].
     ``push``, the only mutator, doubles ``hist`` when full and rebuilds
-    ``rev`` to match; ``n_steps`` sizes both for a run of known length.
+    ``rev`` to match; ``n_steps``, an integer >= 0, sizes both for a run of
+    known length.
     Samples keep their dtype (real or complex), and ``rev`` is cast, exactly,
     to that dtype, so that a complex contraction casts no slice per step."""
 
@@ -293,6 +294,7 @@ class DirectHistory(_Evaluator):
         _check_name("full-history rule", scheme, ("l1", "gl"))
         self._table = _l1_coefficients if scheme == "l1" else gl_coefficients
         super().__init__(scheme, alpha, dt, u0)
+        _check_count("n_steps", n_steps, 0)
         self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
         self.rev = self._table(alpha, n_steps + 1)[::-1].astype(self.hist.dtype)
 

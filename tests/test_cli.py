@@ -263,6 +263,16 @@ def test_soe_error_needs_two_samples(tmp_path, capsys):
     assert code == 0 and len(parse_csv(text)[2]) == 2
 
 
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_soe_error_checks_the_order_itself(tmp_path, capsys, alpha):
+    """An order outside (0, 1) is refused by name, not as fir's kernel order
+    alpha + 1 inside the kernel build."""
+    code, text = run_cli(tmp_path, "soe-error", "--alpha", alpha)
+    assert code == 2 and text == ""
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "detail": "order must lie in (0, 1)"}
+
+
 def test_one_step_fast_solve_is_a_validation_error(tmp_path, capsys):
     """fidr, the default scheme, needs 2 steps for a kernel window [dt, T]."""
     code, text = run_cli(tmp_path, "solve", "--dt", "1", "--T", "1")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraccaputo import property_suite
+from fraccaputo import property_suite, schemes
 from fraccaputo.property_suite import (
     fidr_coercivity_suite,
     fir_coercivity_suite,
@@ -12,7 +12,7 @@ from fraccaputo.property_suite import (
     truncation_suite,
 )
 from fraccaputo.quadrature import _jacobi
-from fraccaputo.schemes import kernel_order
+from fraccaputo.schemes import DirectHistory, kernel_order
 from fraccaputo.soe import SoEParams, build_soe
 
 
@@ -74,6 +74,42 @@ def test_gl_stability_passes():
     res = gl_stability_suite(seed=42)
     assert res["status"] == "pass"
     assert res["checked"] == 20
+
+
+def _gl_step_loop(p, c, dt, n_steps):
+    """The implicit gl solve one step at a time: sigma u^n + known() = c u^n."""
+    u = np.empty(n_steps + 1, dtype=complex)
+    u[0] = 1.0
+    ev = DirectHistory("gl", p, dt, u[0], n_steps)
+    for n in range(1, n_steps + 1):
+        u[n] = -ev.known() / (ev.sigma - c)
+        ev.push(u[n])
+    return u
+
+
+def test_gl_blocked_solve_matches_the_step_loop():
+    """The blocked forward substitution gives the step loop's solution on
+    seed 42's cases; 2000 steps end in a partial block of 16 rows."""
+    assert 2000 % property_suite._GL_BLOCK == 16
+    for p, c, dt in property_suite._gl_cases(42):
+        blocked = property_suite._gl_implicit_solve(p, c, dt, 2000)
+        assert np.max(np.abs(blocked - _gl_step_loop(p, c, dt, 2000))) <= 1e-12
+
+
+def test_gl_stability_fails_on_an_unstable_rule(monkeypatch):
+    """Doubling w_1 = -p makes the rule unstable: the suite reports the
+    growth, counting a solution that overflows to NaN."""
+    table = schemes.gl_coefficients
+
+    def doubled_w1(p, n):
+        w = table(p, n)
+        w[1] *= 2.0
+        return w
+
+    monkeypatch.setattr(schemes, "gl_coefficients", doubled_w1)
+    res = gl_stability_suite(seed=42)
+    assert res["status"] == "fail" and res["violations"]
+    assert any(np.isnan(v["max"]) for v in res["violations"])
 
 
 def test_runner_deterministic_under_seed():

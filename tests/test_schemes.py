@@ -633,6 +633,18 @@ def test_fast_rule_mode_count_is_checked_where_the_state_is_made(scheme, n_modes
     assert new_history(scheme, 0.5, 0.1, 0.0, n_modes=np.int64(3)).modes.shape == (3,)
 
 
+@pytest.mark.parametrize("n_steps", [-1, 2.5])
+@pytest.mark.parametrize("scheme", ["l1", "gl"])
+def test_direct_rule_step_count_is_checked_where_the_state_is_made(scheme, n_steps):
+    """A direct state's n_steps sizes its history and table: an integer
+    >= 0, checked where the state is made, not at its first step."""
+    with pytest.raises(ValueError, match="n_steps.*integer >= 0"):
+        DirectHistory(scheme, 0.5, 0.1, 0.0, n_steps)
+    # 0 is valid: the history grows by doubling to the values of a sized one
+    grown, sized = (DirectHistory(scheme, 0.5, 0.1, 0.0, n) for n in (0, 3))
+    assert [grown.step(x) for x in (1.0, 0.5, 2.0)] == [sized.step(x) for x in (1.0, 0.5, 2.0)]
+
+
 def test_history_state_validation():
     with pytest.raises(ValueError):
         new_history("bogus", 0.5, 0.1, 0.0)
