@@ -20,8 +20,8 @@ import numpy as np
 
 from .pde import SpaceGrid, manufactured_problem, nonlinear_problem, solve
 from .property_suite import run_property_suite
-from .quadrature import ConstructionError, _check_name
-from .schemes import SCHEMES, TimeGrid, _check_order, _check_step, kernel_order
+from .quadrature import ConstructionError, _check_count, _check_name, _check_order, _check_step
+from .schemes import SCHEMES, TimeGrid, kernel_order
 from .soe import SoEParams, build_soe, soe_max_error, tail_integral
 
 EXIT_OK = 0
@@ -164,8 +164,8 @@ def _one_convergence_run(task) -> tuple:
 def cmd_convergence(args) -> int:
     """Related error versus dt for the fast schemes (N in {9, 25}) and the
     binomial baseline, halving dt ``levels`` times from the starting value."""
-    if args.levels < 1 or args.jobs < 1:
-        raise ValueError(f"levels and jobs must be at least 1, got {args.levels}, {args.jobs}")
+    _check_count("levels", args.levels, 1)
+    _check_count("jobs", args.jobs, 1)
     alpha, h, T = args.alpha, args.h, args.T
     dts = [args.dt * 0.5 ** k for k in range(args.levels)]
     # one row per (scheme, mode count, dt); the storage-hungry baseline

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .quadrature import _check_count, _check_name, _check_positive
-from .schemes import SCHEMES, DirectHistory, FastHistory, TimeGrid, _check_order, kernel_order
+from .quadrature import _check_count, _check_name, _check_order, _check_positive
+from .schemes import SCHEMES, DirectHistory, FastHistory, TimeGrid, kernel_order
 from .soe import SoEParams, build_soe
 
 __all__ = [

@@ -21,9 +21,8 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import ztrtrs
 
-from .quadrature import _check_count, _check_name
-from .schemes import (DirectHistory, _check_order, _check_step, caputo_reference, kernel_order,
-                      new_history)
+from .quadrature import _check_count, _check_name, _check_order, _check_step
+from .schemes import DirectHistory, caputo_reference, kernel_order, new_history
 from .soe import SoEParams, build_soe
 
 __all__ = [
@@ -251,9 +250,9 @@ def _gl_implicit_solve(p: float, c: complex, dt: float, n_steps: int) -> np.ndar
     rows before it to the right side as one convolution, then solves its
     own triangle, the same in every block, by one LAPACK ``ztrtrs`` call.
     """
-    ev = DirectHistory("gl", p, dt, 1.0 + 0.0j, n_steps)
-    sw = ev.sigma * ev.rev[::-1]   # sigma * w_0 .. w_{n_steps+1}, complex
-    col = sw[:_GL_BLOCK].copy()
+    ev = DirectHistory("gl", p, dt, 1.0, n_steps)
+    sw = ev.sigma * ev.rev[::-1]   # sigma * w_0 .. w_{n_steps+1}
+    col = sw[:_GL_BLOCK].astype(complex)   # the triangle's column; sw stays real
     col[0] -= c
     tri = np.asfortranarray(toeplitz(col, np.zeros(_GL_BLOCK)))
     v = np.zeros(n_steps + 1, dtype=complex)   # v^0 = 0
@@ -273,10 +272,10 @@ def gl_stability_suite(seed: int) -> dict:
     """Implicit fractional-difference solve of D^p u = c u must not grow,
     for 20 random pairs (p, c) with Re(c) <= 0 over 2000 steps.
 
-    D is the gl ``DirectHistory``, the rule every entry point runs, on
-    complex samples from u^0 = 1: the suite solves with its factor sigma
-    and weight table, in blocks (``_gl_implicit_solve``).  A solution that
-    overflows to NaN counts as growth.
+    D is the gl rule every entry point runs: the suite solves for the
+    complex u from u^0 = 1 with the factor sigma and the real weight table
+    of a gl ``DirectHistory``, in blocks (``_gl_implicit_solve``).  A
+    solution that overflows to NaN counts as growth.
     """
     n_steps = 2000
     violations = []

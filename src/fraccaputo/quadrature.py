@@ -56,6 +56,16 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"need {name} > 0, got {np.min(value)}")
 
 
+def _check_order(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("order must lie in (0, 1)")
+
+
+def _check_step(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"step dt must be positive and finite, got {dt}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadRule:
     """An n-point Gaussian rule for integrands f(s) * s**weight_exponent,

@@ -6,7 +6,8 @@ with one history term ``weights @ state`` for both.  The two
 full-history rules are one evaluator, ``DirectHistory``, which sums weights
 against u - u^0 and differs per rule only in its factor sigma and its
 weight table; the two fast rules are ``FastHistory``, whose one rank update
-of the modes advances fields and streams (a stream is a field of one point):
+of the modes advances fields and streams (a stream is a field of one point).
+Every rule takes real samples, checked at u^0 and each push (``_samples``):
 
 * ``l1``   -- direct piecewise-linear rule, O(n) per step;
 * ``fir``  -- fast rule compressing the integrated-by-parts history
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .quadrature import (ConstructionError, _check_count, _check_name, _check_positive,
-                         gauss_jacobi_power)
+from .quadrature import (ConstructionError, _check_count, _check_name, _check_order,
+                         _check_positive, _check_step, gauss_jacobi_power)
 from .soe import SoEApproximation
 
 __all__ = [
@@ -139,30 +140,20 @@ def _mode_tables(scheme: str, alpha: float, dt: float, soe: SoEApproximation):
 # ---------------------------------------------------------------------------
 # evaluators: one class per rule, shared by the solver and the steppers
 
-def _check_order(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("order must lie in (0, 1)")
-
-
-def _check_step(dt: float) -> None:
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"step dt must be positive and finite, got {dt}")
-
-
 def _sigma(scheme: str, alpha: float, dt: float) -> float:
     """The factor of u^n in D u^n: dt**-alpha / Gamma(2-alpha), or dt**-alpha for gl."""
     return dt ** -alpha if scheme == "gl" else dt ** -alpha / math.gamma(2.0 - alpha)
 
 
-def _samples(u, dtype=None) -> np.ndarray:
-    """A copy of u, a scalar or 1-D field, as ``dtype``: by default float, or
-    complex as u is.  A complex u is rejected where ``dtype`` is float."""
+def _samples(u) -> np.ndarray:
+    """A float copy of u, a real scalar or 1-D field, with a scalar as a numpy
+    scalar, cheap in per-step arithmetic; any other u is a ``ValueError``."""
     u = np.asarray(u)
     if u.ndim > 1:
         raise ValueError(f"samples are scalars or 1-D fields, not of shape {u.shape}")
-    if dtype is float and u.dtype.kind == "c":
-        raise ValueError("this rule takes real samples, not complex ones")
-    return u.astype(dtype or np.result_type(u, float))
+    if u.dtype.kind == "c":
+        raise ValueError("the rules take real samples, not complex ones")
+    return u.astype(float)[()]
 
 
 class _Evaluator:
@@ -175,19 +166,19 @@ class _Evaluator:
     state.  The solver calls ``known()``, solves for u^n, then calls
     ``push``; ``step(u^n)`` is the same formula on a given sample, followed
     by its push.  The constructor checks and sets what every rule shares,
-    the anchor u^0 cast to ``dtype`` (``_samples``)."""
+    the anchor u^0.  u^0 and every pushed sample pass ``_samples`` before
+    the state changes, so that a refused one leaves it as it was."""
 
     step_index = 0
     soe = None   # the compressed kernel of a fast rule; a direct rule has none
 
-    def __init__(self, scheme: str, alpha: float, dt: float, u0, dtype=None):
+    def __init__(self, scheme: str, alpha: float, dt: float, u0):
         _check_order(alpha)
         _check_step(dt)
         self.scheme, self.alpha, self.dt = scheme, alpha, dt
         self.sigma = _sigma(scheme, alpha, dt)
         self.lag = alpha * self.sigma if scheme == "fir" else self.sigma
-        # [()] makes a scalar anchor a numpy scalar, cheap in per-step arithmetic
-        self.anchor = _samples(u0, dtype)[()]
+        self.anchor = _samples(u0)
 
     def known(self):
         hist = self.history_term()   # a fresh value, so updated in place
@@ -208,10 +199,9 @@ def kernel_order(scheme: str, alpha: float) -> float:
 
 
 class FastHistory(_Evaluator):
-    """fir or fidr on the modes of a compressed kernel, over real samples
-    (a complex one is a ``ValueError``); anchor u^{n-1}.  The true modes
-    follow modes <- d*modes + coeffs.T @ block (``mode_step_coeffs``), zero
-    at step 1; fir adds the boundary terms of its integration by parts,
+    """fir or fidr on a compressed kernel's modes, anchor u^{n-1}.  The true
+    modes follow modes <- d*modes + coeffs.T @ block (``mode_step_coeffs``),
+    zero at step 1; fir adds the boundary terms of its integration by parts,
     dt**-alpha/Gamma(1-alpha) * u^{n-1}, which its lag alpha*sigma takes in,
     and -t_n**-alpha/Gamma(1-alpha) * u^0.  It runs on one kernel, bound by
     ``use_kernel`` before its first step (lazily, by the steppers).
@@ -229,7 +219,7 @@ class FastHistory(_Evaluator):
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_modes: int):
         self.beta = kernel_order(scheme, alpha)
-        super().__init__(scheme, alpha, dt, u0, float)
+        super().__init__(scheme, alpha, dt, u0)
         _check_count("n_modes", n_modes, 1)
         self.u0, self.age = self.anchor, 0
         self.modes = np.zeros((n_modes,) + np.shape(self.u0))
@@ -263,17 +253,18 @@ class FastHistory(_Evaluator):
         return hist
 
     def push(self, u) -> None:
-        u = _samples(u, float)[()]
+        u = _samples(u)
         block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
+        # numpy refuses a field of another length here, before the fold
+        block = block.reshape(len(block), len(self._cols)).T
         age = self.age + 1
         if age > self.period:
             self._cols *= self._fold.T
             age = 0
-        # _cols is Fortran-ordered, so dgemm adds block.T @ coeffs to it in
+        # _cols is Fortran-ordered, so dgemm adds block @ coeffs to it in
         # place; dgemm also for rank 1, as threaded OpenBLAS dger was up to
         # 100x slower at 3143 points x 25 modes on a 2-core host
-        dgemm(1.0, block.reshape(len(block), -1).T, self._coeffs[age], beta=1.0, c=self._cols,
-              overwrite_c=1)
+        dgemm(1.0, block, self._coeffs[age], beta=1.0, c=self._cols, overwrite_c=1)
         self.anchor, self.step_index, self.age = u, self.step_index + 1, age
 
 
@@ -285,29 +276,28 @@ class DirectHistory(_Evaluator):
     every sample so far less u^0, and ``rev`` the L = len(hist) + 1 weights
     reversed and contiguous, so step n contracts rev[L-1-n : L-1] @ hist[:n].
     ``push``, the only mutator, doubles ``hist`` when full and rebuilds
-    ``rev`` to match; ``n_steps``, an integer >= 0, sizes both for a run of
-    known length.
-    Samples keep their dtype (real or complex), and ``rev`` is cast, exactly,
-    to that dtype, so that a complex contraction casts no slice per step."""
+    ``rev`` to match, then stores the sample and counts the step;
+    ``n_steps``, an integer >= 0, sizes both for a run of known length."""
 
     def __init__(self, scheme: str, alpha: float, dt: float, u0, n_steps: int = 1):
         _check_name("full-history rule", scheme, ("l1", "gl"))
         self._table = _l1_coefficients if scheme == "l1" else gl_coefficients
         super().__init__(scheme, alpha, dt, u0)
         _check_count("n_steps", n_steps, 0)
-        self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor), dtype=self.anchor.dtype)
-        self.rev = self._table(alpha, n_steps + 1)[::-1].astype(self.hist.dtype)
+        self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor))
+        self.rev = self._table(alpha, n_steps + 1)[::-1].copy()
 
     def history_term(self):
         n, top = self.step_index + 1, len(self.rev) - 1
         return self.sigma * self.rev[top - n: top].dot(self.hist[:n])
 
     def push(self, u) -> None:
-        k = self.step_index = self.step_index + 1
+        u, k = _samples(u), self.step_index + 1
         if k == len(self.hist):
             self.hist = np.concatenate([self.hist, np.empty_like(self.hist)])
-            self.rev = self._table(self.alpha, 2 * k)[::-1].astype(self.hist.dtype)
-        self.hist[k] = u - self.anchor
+            self.rev = self._table(self.alpha, 2 * k)[::-1].copy()
+        self.hist[k] = u - self.anchor   # numpy refuses a field of another length
+        self.step_index = k
 
 
 def _l1_coefficients(alpha: float, n: int) -> np.ndarray:

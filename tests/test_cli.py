@@ -134,7 +134,10 @@ def test_validation_exit_code(tmp_path, capsys):
         code, out = run_cli(tmp_path, *argv)
         assert code == 2, argv
         assert out == ""
-        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        if argv[0] == "convergence":   # the message names the setting
+            assert err["detail"].startswith(f"{argv[1][2:]} must be an integer >= 1")
 
 
 @pytest.mark.parametrize("setting", [{"x_lo": -2.0}, {"x_hi": 2.0}])

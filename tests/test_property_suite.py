@@ -77,13 +77,15 @@ def test_gl_stability_passes():
 
 
 def _gl_step_loop(p, c, dt, n_steps):
-    """The implicit gl solve one step at a time: sigma u^n + known() = c u^n."""
+    """The implicit gl solve one step at a time, sigma u^n + known() = c u^n,
+    with u from u^0 = 1 stepped as the real two-point field (Re u, Im u)."""
     u = np.empty(n_steps + 1, dtype=complex)
     u[0] = 1.0
-    ev = DirectHistory("gl", p, dt, u[0], n_steps)
+    ev = DirectHistory("gl", p, dt, [1.0, 0.0], n_steps)
     for n in range(1, n_steps + 1):
-        u[n] = -ev.known() / (ev.sigma - c)
-        ev.push(u[n])
+        re, im = ev.known()
+        u[n] = -(re + 1j * im) / (ev.sigma - c)
+        ev.push([u[n].real, u[n].imag])
     return u
 
 

@@ -457,23 +457,6 @@ def test_gl_buffer_grows_per_step():
     assert state.step_index == 2
 
 
-def test_complex_gl_weights_take_the_samples_dtype():
-    """A complex gl stream holds its weights as complex across each doubling
-    of its history, and its history terms equal the contraction of the
-    real weight table bit for bit: the cast to complex is exact."""
-    rng = np.random.default_rng(11)
-    u = rng.normal(size=40) + 1j * rng.normal(size=40)
-    state = DirectHistory("gl", 0.6, 0.01, u[0])   # hist doubles at steps 2, 4, .., 32
-    for n in range(1, len(u)):
-        assert state.rev.dtype == state.hist.dtype == complex
-        real_rev = gl_coefficients(0.6, len(state.rev) - 1)[::-1].copy()
-        top = len(real_rev) - 1
-        want = state.sigma * (real_rev[top - n: top] @ state.hist[:n])
-        assert state.history_term() == want
-        state.push(u[n])
-    assert len(state.hist) == 64
-
-
 def test_gl_rejects_out_of_range_order():
     state = new_history("gl", 0.5, 0.1, 0.0)
     with pytest.raises(ValueError):
@@ -579,18 +562,14 @@ COEFF = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(scheme=st.sampled_from(["l1", "gl", "fir", "fidr"]), alpha=st.floats(0.01, 0.99),
        log_dt=st.floats(-3.0, -1.0), n=st.integers(2, 80), seed=st.integers(0, 2 ** 32 - 1),
-       a=COEFF, b=COEFF, complex_samples=st.booleans())
-def test_linearity_of_all_schemes(scheme, alpha, log_dt, n, seed, a, b, complex_samples):
-    """D(a u + b v) = a Du + b Dv for every streamed rule, on real samples and,
-    for l1 and gl (which keep the samples' dtype), complex ones with an
-    imaginary a, up to a rounding slack of sigma * (|a| |u|_inf + |b| |v|_inf)."""
+       a=COEFF, b=COEFF)
+def test_linearity_of_all_schemes(scheme, alpha, log_dt, n, seed, a, b):
+    """D(a u + b v) = a Du + b Dv for every streamed rule, up to a rounding
+    slack of sigma * (|a| |u|_inf + |b| |v|_inf)."""
     dt = 10.0 ** log_dt
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3, size=(2, 1))
     u, v = rng.normal(size=(2, n + 1)) * scale
-    if complex_samples and scheme in ("l1", "gl"):
-        u, v = (u, v) + 1j * rng.normal(size=(2, n + 1)) * scale
-        a = 1j * a
     soe = None
     if scheme in ("fir", "fidr"):
         soe = build_soe(kernel_order(scheme, alpha), SoEParams.from_ladder(0, 10, 4, 4),
@@ -659,18 +638,35 @@ def test_history_state_validation():
             l1_step(l1_weights(0.5, 2), [0.0, 1.0], dt)
 
 
-@pytest.mark.parametrize("scheme", ["fir", "fidr"])
-def test_fast_rules_reject_complex_samples(scheme):
-    """The fast rules' modes are real: a complex u^0 or sample is a
-    ValueError, not a value with its imaginary part dropped."""
-    soe = build_soe(kernel_order(scheme, 0.5), SoEParams(3, 10, 4, 3), 0.01, 1.0)
+@pytest.mark.parametrize("points", [0, 3], ids=["stream", "field"])
+@pytest.mark.parametrize("scheme", ["l1", "fir", "fidr", "gl"])
+def test_every_rule_refuses_a_bad_sample_and_keeps_its_state(scheme, points):
+    """Every rule takes real scalars or 1-D fields: a complex u^0 or sample,
+    a 2-D one or a field of another length is a ValueError, not a value with
+    its imaginary part dropped, and leaves the state as it was, also at the
+    push that grows a direct rule's history or folds a fast rule's modes."""
+    soe = (build_soe(kernel_order(scheme, 0.5), SoEParams(3, 10, 4, 3), 0.01, 1.0)
+           if scheme in ("fir", "fidr") else None)
+    n_modes = soe.n_modes if soe else 0
+    u0 = np.linspace(1.0, 2.0, points) if points else 1.0
     with pytest.raises(ValueError, match="real samples"):
-        new_history(scheme, 0.5, 0.01, np.complex128(1 + 1j), n_modes=soe.n_modes)
-    state = new_history(scheme, 0.5, 0.01, 1.0, n_modes=soe.n_modes)
-    step = fir_step if scheme == "fir" else fidr_step
-    for sample in (np.complex128(2 + 2j), 2 + 2j, np.array([1.0, 2j])):
-        with pytest.raises(ValueError, match="real samples"):
-            step(state, soe, sample)
-    assert state.step_index == 0
-    step(state, soe, 2.0)
-    assert state.step_index == 1
+        new_history(scheme, 0.5, 0.01, u0 * (1 + 1j), n_modes=n_modes)
+    state, fresh = (new_history(scheme, 0.5, 0.01, u0, n_modes=n_modes) for _ in range(2))
+    if soe:
+        state.use_kernel(soe)
+        fresh.use_kernel(soe)
+    # the next push grows hist from 16 to 32 rows, or folds the modes
+    n_good = state.period if soe else 15
+    for x in np.linspace(0.5, 2.0, n_good):
+        state.step(x * u0)
+        fresh.step(x * u0)
+    refused = [(np.complex128(2 + 2j), "real samples"), (2 + 2j, "real samples"),
+               (np.full(points or 2, 2j), "real samples"), (np.zeros((2, 3)), "2, 3"),
+               (np.ones(points + 2), None)]   # a field of another length
+    for sample, message in refused:
+        for feed in (state.step, state.push):
+            with pytest.raises(ValueError, match=message):
+                feed(sample)
+            assert state.step_index == n_good
+    for x in (3.0, 0.5):
+        np.testing.assert_array_equal(state.step(x * u0), fresh.step(x * u0))
