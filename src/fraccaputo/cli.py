@@ -102,6 +102,8 @@ def _soe_params(args) -> SoEParams:
         return SoEParams(args.soe_a, args.soe_b, args.soe_n1, args.soe_n2)
     if args.modes not in MODE_TABLE:
         raise ValueError(f"no ladder preset for N={args.modes}; pass --soe-a/b/n1/n2 instead")
+    if ladder := sorted(args.given & {"soe_a", "soe_b", "soe_n1", "soe_n2"}):
+        raise ValueError(f"modes sets the whole ladder; drop it or {', '.join(ladder)}")
     return SoEParams(*MODE_TABLE[args.modes])
 
 
@@ -152,13 +154,13 @@ def cmd_soe_error(args) -> int:
 
 
 def _one_convergence_run(task) -> tuple:
-    """(related error, status) of one manufactured run; a failure is a row."""
+    """(related error, status) of one manufactured run; a failure is a row, a bug raises."""
     scheme, n_modes, dt, alpha, h, T = task
     try:
         params = SoEParams(*MODE_TABLE[n_modes])
         return _run(manufactured_problem(alpha), scheme, params, dt, h, T).related_error, "ok"
-    except Exception as exc:
-        return math.nan, f"failed: {exc}"
+    except (ValueError, MemoryError, ConstructionError, FloatingPointError) as exc:
+        return math.nan, f"failed: {exc}"   # a LinAlgError is a ValueError
 
 
 def cmd_convergence(args) -> int:

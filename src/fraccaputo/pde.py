@@ -115,26 +115,22 @@ class SolveReport:
         return d
 
 
-def _banded_matrix(n_pts: int, h: float, sigma: float, sigma_b: float) -> np.ndarray:
-    ab = np.zeros((3, n_pts))
-    ab[1, :] = sigma + 2.0 / h ** 2
-    ab[1, 0] += (2.0 / h) * sigma_b
-    ab[1, -1] += (2.0 / h) * sigma_b
-    ab[0, 1:] = -1.0 / h ** 2
-    ab[0, 1] = -2.0 / h ** 2
-    ab[2, :-1] = -1.0 / h ** 2
-    ab[2, -2] = -2.0 / h ** 2
+def _step_matrix(n_pts: int, h: float, sigma: float, sigma_b: float) -> tuple:
+    """The sub-, main and super-diagonal (dl, d, du) of the step matrix."""
+    d = np.full(n_pts, sigma + 2.0 / h ** 2)
+    d[[0, -1]] += (2.0 / h) * sigma_b
+    dl, du = np.full((2, n_pts - 1), -1.0 / h ** 2)
+    dl[-1] = du[0] = -2.0 / h ** 2
     # every row carries off-diagonal mass exactly 2/h**2, so sigma > 0 makes the
     # matrix strictly diagonally dominant, unless a long dt rounds sigma away
-    if not np.all(ab[1, :] > 2.0 / h ** 2):
+    if not np.all(d > 2.0 / h ** 2):
         raise ValueError(f"time term {sigma:.3g} is lost beside 2/h**2; shorten dt or widen h")
-    return ab
+    return dl, d, du
 
 
-def _factor(ab: np.ndarray) -> tuple:
-    """LU factors (``dgttrf``, partial pivoting) of the tridiagonal matrix in
-    banded storage ``ab``, the first argument of ``solve_banded``."""
-    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """LU factors (``dgttrf``, partial pivoting) of the tridiagonal (dl, d, du)."""
+    *lu, info = dgttrf(dl, d, du)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal step matrix is singular (dgttrf info {info})")
     return tuple(lu)
@@ -176,8 +172,7 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
         raise ValueError("space grid does not cover the problem domain")
 
     alpha = problem.alpha
-    dt, n_steps = tgrid.dt, tgrid.n_steps
-    h = sgrid.h
+    dt, n_steps, h = tgrid.dt, tgrid.n_steps, sgrid.h
     x = sgrid.points().copy()   # linspace returns a view; the copy owns its data
     x.flags.writeable = False   # one grid, owned and read-only, for every call below
     u0 = np.asarray(problem.initial(x), dtype=float)
@@ -200,7 +195,7 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     interior, boundary = evaluators
     soe_i, soe_b = interior.soe, boundary.soe
 
-    lu = _factor(_banded_matrix(len(x), h, interior.sigma, boundary.sigma))
+    lu = _factor(*_step_matrix(len(x), h, interior.sigma, boundary.sigma))
 
     snapshots = [(0.0, u0.copy())]
 

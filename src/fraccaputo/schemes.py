@@ -7,7 +7,7 @@ full-history rules are one evaluator, ``DirectHistory``, which sums weights
 against u - u^0 and differs per rule only in its factor sigma and its
 weight table; the two fast rules are ``FastHistory``, whose one rank update
 of the modes advances fields and streams (a stream is a field of one point).
-Every rule takes real samples, checked at u^0 and each push (``_samples``):
+Samples enter through ``_Evaluator`` alone, which checks them (``_samples``):
 
 * ``l1``   -- direct piecewise-linear rule, O(n) per step;
 * ``fir``  -- fast rule compressing the integrated-by-parts history
@@ -145,14 +145,14 @@ def _sigma(scheme: str, alpha: float, dt: float) -> float:
     return dt ** -alpha if scheme == "gl" else dt ** -alpha / math.gamma(2.0 - alpha)
 
 
-def _samples(u) -> np.ndarray:
-    """A float copy of u, a real scalar or 1-D field, with a scalar as a numpy
-    scalar, cheap in per-step arithmetic; any other u is a ``ValueError``."""
+def _samples(u, shape=None) -> np.ndarray:
+    """A float copy of u, a scalar or 1-D field of numpy integer or floating kind
+    and of ``shape`` if given, a scalar as a numpy scalar; else a ``ValueError``."""
     u = np.asarray(u)
-    if u.ndim > 1:
-        raise ValueError(f"samples are scalars or 1-D fields, not of shape {u.shape}")
-    if u.dtype.kind == "c":
-        raise ValueError("the rules take real samples, not complex ones")
+    if u.dtype.kind not in "iuf":
+        raise ValueError(f"the rules take real samples of integer or floating kind, not {u.dtype}")
+    if u.ndim > 1 if shape is None else u.shape != shape:
+        raise ValueError(f"a sample is a scalar or 1-D field of u^0's shape, not {u.shape}")
     return u.astype(float)[()]
 
 
@@ -166,8 +166,9 @@ class _Evaluator:
     state.  The solver calls ``known()``, solves for u^n, then calls
     ``push``; ``step(u^n)`` is the same formula on a given sample, followed
     by its push.  The constructor checks and sets what every rule shares,
-    the anchor u^0.  u^0 and every pushed sample pass ``_samples`` before
-    the state changes, so that a refused one leaves it as it was."""
+    the anchor u^0.  It, ``push`` and ``step`` are the one door for samples:
+    each passes ``_samples`` (of u^0's shape after u^0) before the state
+    changes, so a refused one leaves it as it was; the rule's ``_store`` keeps it."""
 
     step_index = 0
     soe = None   # the compressed kernel of a fast rule; a direct rule has none
@@ -178,16 +179,20 @@ class _Evaluator:
         self.scheme, self.alpha, self.dt = scheme, alpha, dt
         self.sigma = _sigma(scheme, alpha, dt)
         self.lag = alpha * self.sigma if scheme == "fir" else self.sigma
-        self.anchor = _samples(u0)
+        self.anchor = _samples(u0)   # a sample: its shape stays u^0's
 
     def known(self):
         hist = self.history_term()   # a fresh value, so updated in place
         hist -= self.lag * self.anchor
         return hist
 
+    def push(self, u) -> None:
+        self._store(_samples(u, self.anchor.shape))
+
     def step(self, u):
+        u = _samples(u, self.anchor.shape)
         value = self.sigma * u + self.known()
-        self.push(u)
+        self._store(u)
         return value
 
 
@@ -207,11 +212,11 @@ class FastHistory(_Evaluator):
     ``use_kernel`` before its first step (lazily, by the steppers).
 
     ``modes`` holds the true modes age-shifted, true = d**age * modes, one
-    age for all of them.  ``push`` views them as (modes x points), a stream
+    age for all of them.  ``_store`` views them as (modes x points), a stream
     as one point, and makes one BLAS rank update of their Fortran view
     through row age+1 of the coefficient table: rank 2 against
     [u^n, u^{n-1}] for fir, rank 1 against the increment u^n - u^{n-1} for
-    fidr.  A push past the period F first folds, modes *= d**(F+1), and
+    fidr.  A store past the period F first folds, modes *= d**(F+1), and
     adds through row 0, so the age runs 0, 1, .., F, 0, ...  The history
     term is row ``age`` of the weight table @ modes.  Fields and streams
     share this one path; ``use_kernel`` builds the state's own tables
@@ -222,8 +227,8 @@ class FastHistory(_Evaluator):
         super().__init__(scheme, alpha, dt, u0)
         _check_count("n_modes", n_modes, 1)
         self.u0, self.age = self.anchor, 0
-        self.modes = np.zeros((n_modes,) + np.shape(self.u0))
-        # the (points x modes) view of modes that push updates, Fortran-ordered
+        self.modes = np.zeros((n_modes,) + self.anchor.shape)
+        # the (points x modes) view of modes that _store updates, Fortran-ordered
         self._cols = self.modes.reshape(n_modes, -1).T
         self.g1 = math.gamma(1.0 - alpha)
 
@@ -252,10 +257,8 @@ class FastHistory(_Evaluator):
             hist -= self.u0 * (t_n ** -self.alpha / self.g1)
         return hist
 
-    def push(self, u) -> None:
-        u = _samples(u)
+    def _store(self, u) -> None:
         block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
-        # numpy refuses a field of another length here, before the fold
         block = block.reshape(len(block), len(self._cols)).T
         age = self.age + 1
         if age > self.period:
@@ -275,7 +278,7 @@ class DirectHistory(_Evaluator):
     gl has sigma = dt**-a and those of ``gl_coefficients``.  ``hist`` holds
     every sample so far less u^0, and ``rev`` the L = len(hist) + 1 weights
     reversed and contiguous, so step n contracts rev[L-1-n : L-1] @ hist[:n].
-    ``push``, the only mutator, doubles ``hist`` when full and rebuilds
+    ``_store``, the only mutator, doubles ``hist`` when full and rebuilds
     ``rev`` to match, then stores the sample and counts the step;
     ``n_steps``, an integer >= 0, sizes both for a run of known length."""
 
@@ -284,19 +287,19 @@ class DirectHistory(_Evaluator):
         self._table = _l1_coefficients if scheme == "l1" else gl_coefficients
         super().__init__(scheme, alpha, dt, u0)
         _check_count("n_steps", n_steps, 0)
-        self.hist = np.zeros((n_steps + 1,) + np.shape(self.anchor))
+        self.hist = np.zeros((n_steps + 1,) + self.anchor.shape)
         self.rev = self._table(alpha, n_steps + 1)[::-1].copy()
 
     def history_term(self):
         n, top = self.step_index + 1, len(self.rev) - 1
         return self.sigma * self.rev[top - n: top].dot(self.hist[:n])
 
-    def push(self, u) -> None:
-        u, k = _samples(u), self.step_index + 1
+    def _store(self, u) -> None:
+        k = self.step_index + 1
         if k == len(self.hist):
             self.hist = np.concatenate([self.hist, np.empty_like(self.hist)])
             self.rev = self._table(self.alpha, 2 * k)[::-1].copy()
-        self.hist[k] = u - self.anchor   # numpy refuses a field of another length
+        self.hist[k] = u - self.anchor
         self.step_index = k
 
 

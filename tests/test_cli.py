@@ -8,6 +8,7 @@ import pytest
 from fraccaputo import cli
 from fraccaputo.cli import main
 from fraccaputo.pde import DiffusionProblem
+from fraccaputo.quadrature import ConstructionError
 
 
 def run_cli(tmp_path, *argv, name="out"):
@@ -69,6 +70,48 @@ def test_convergence_sweep_row_count(tmp_path):
                     if r[0] == "fidr" and r[1] == "25")
     errs = [e for _, e in fidr25]
     assert errs[0] <= errs[1] <= errs[2]   # error grows with dt
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError, MemoryError,
+                                   ConstructionError, FloatingPointError])
+def test_convergence_reports_a_mapped_failure_as_a_row(tmp_path, monkeypatch, error):
+    """A failure that ``main`` maps to an exit code is a row of the sweep."""
+    def fail(*args, **kwargs):
+        raise error("no run")
+    monkeypatch.setattr(cli, "solve", fail)
+    code, text = run_cli(tmp_path, "convergence", "--levels", "1", "--jobs", "1")
+    _, _, rows = parse_csv(text)
+    assert code == 0 and len(rows) == 6
+    assert all(r[3] == "" and r[4] == "failed: no run" for r in rows)
+
+
+def test_convergence_raises_a_bug(tmp_path, monkeypatch):
+    """Any other error is a bug: it is raised, not printed as a failed row."""
+    def bug(*args, **kwargs):
+        raise TypeError("a bug")
+    monkeypatch.setattr(cli, "solve", bug)
+    with pytest.raises(TypeError, match="a bug"):
+        run_cli(tmp_path, "convergence", "--levels", "1", "--jobs", "1")
+
+
+@pytest.mark.parametrize("command", ["soe-error", "solve"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_modes_refuses_an_explicit_kernel_setting(tmp_path, capsys, monkeypatch, command,
+                                                  by_config):
+    """--modes sets the whole ladder, so a ladder setting given beside it,
+    by flag or by config key, is bad input (2) that names both; it is not
+    silently overridden."""
+    monkeypatch.setattr(cli, "build_soe", lambda *a: pytest.fail("built a kernel"))
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"soe_b": 20} if by_config else {}))
+    ladder = [] if by_config else ["--soe-b", "20"]
+    code, out = run_cli(tmp_path, command, "--alpha", "0.3", "--modes", "9", *ladder,
+                        "--config", str(cfg))
+    assert code == 2 and out == ""
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert "modes" in error["detail"] and "soe_b" in error["detail"]
 
 
 def test_convergence_gl_baseline_decreases(tmp_path):

@@ -146,3 +146,23 @@ def test_integer_check_is_written_once():
     package = pathlib.Path(fraccaputo.__file__).parent
     uses = sum(_integral_uses(path.read_text()) for path in package.glob("*.py"))
     assert uses == _integral_uses(inspect.getsource(quadrature._check_count)) == 1
+
+
+
+def _calls_of(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_samples_enter_through_the_evaluator_alone():
+    """Only ``schemes._Evaluator`` calls ``_samples``, at u^0, ``push`` and
+    ``step``, and no other class in the package defines ``push`` or
+    ``step``: a rule stores the samples that this one door has checked."""
+    package = pathlib.Path(fraccaputo.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    door, = (cls for cls in classes if cls.name == "_Evaluator")
+    assert len(_calls_of(door, "_samples")) == sum(len(_calls_of(t, "_samples")) for t in trees) == 3
+    doors = sorted((cls.name, f.name) for cls in classes for f in cls.body
+                   if isinstance(f, ast.FunctionDef) and f.name in ("push", "step"))
+    assert doors == [("_Evaluator", "push"), ("_Evaluator", "step")]

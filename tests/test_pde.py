@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from fraccaputo.pde import (
     DiffusionProblem,
     SpaceGrid,
-    _banded_matrix,
     _factor,
     _norm_terms,
+    _step_matrix,
     manufactured_problem,
     nonlinear_problem,
     solve,
@@ -192,22 +192,24 @@ def test_related_error_homogeneity():
 
 def test_banded_matrix_rows():
     h, sigma, sigma_b = 0.1, 3.0, 2.0
-    ab = _banded_matrix(6, h, sigma, sigma_b)
-    np.testing.assert_allclose(ab[1, 1:-1], sigma + 2.0 / h ** 2)
-    np.testing.assert_allclose(ab[0, 2:], -1.0 / h ** 2)
-    np.testing.assert_allclose(ab[2, :-2], -1.0 / h ** 2)
-    np.testing.assert_allclose(ab[1, 0], sigma + 2.0 / h ** 2 + (2.0 / h) * sigma_b)
-    np.testing.assert_allclose(ab[0, 1], -2.0 / h ** 2)
+    dl, d, du = _step_matrix(6, h, sigma, sigma_b)
+    assert dl.shape == du.shape == (5,) and d.shape == (6,)
+    np.testing.assert_allclose(d[1:-1], sigma + 2.0 / h ** 2)
+    np.testing.assert_allclose(du[1:], -1.0 / h ** 2)
+    np.testing.assert_allclose(dl[:-1], -1.0 / h ** 2)
+    np.testing.assert_allclose(d[[0, -1]], sigma + 2.0 / h ** 2 + (2.0 / h) * sigma_b)
+    np.testing.assert_allclose([du[0], dl[-1]], -2.0 / h ** 2)
     # diagonal dominance
-    assert np.all(ab[1, :] > 2.0 / h ** 2)
+    assert np.all(d > 2.0 / h ** 2)
 
 
 def test_factored_solve_matches_banded_solve():
     """One factorization serves every right-hand side, as scipy's banded
     solve of the same matrix does."""
     rng = np.random.default_rng(7)
-    ab = _banded_matrix(200, 0.05, 3.0, 2.0)
-    lu = _factor(ab)
+    dl, d, du = _step_matrix(200, 0.05, 3.0, 2.0)
+    ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])   # scipy's banded storage
+    lu = _factor(dl, d, du)
     for _ in range(3):
         rhs = rng.normal(size=200)
         want = scipy.linalg.solve_banded((1, 1), ab, rhs)
@@ -216,10 +218,8 @@ def test_factored_solve_matches_banded_solve():
 
 
 def test_singular_step_matrix_is_a_linalg_error():
-    ab = np.zeros((3, 5))
-    ab[1] = [1.0, 1.0, 0.0, 1.0, 1.0]
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        _factor(ab)
+        _factor(np.zeros(4), np.array([1.0, 1.0, 0.0, 1.0, 1.0]), np.zeros(4))
 
 
 def test_scheme_equivalence_coarse_grid():

@@ -196,7 +196,8 @@ class DecayPassHistory(FastHistory):
     """A fast rule that scales every mode by its decay at every step, the
     recurrence modes <- decay*modes + coeffs.T @ block of
     ``mode_step_coeffs`` on true modes, with FastHistory's history reads
-    and its one rank update."""
+    and its one rank update; it stores the samples that ``push`` and
+    ``step`` have checked."""
 
     def use_kernel(self, soe):
         self.decay, self.coeffs = mode_step_coeffs(self.scheme, soe.nodes, self.dt)
@@ -210,8 +211,7 @@ class DecayPassHistory(FastHistory):
             hist -= self.u0 * (t_n ** -self.alpha / self.g1)
         return hist
 
-    def push(self, u):
-        u = np.array(u, dtype=float)
+    def _store(self, u):
         block = np.array((u, self.anchor)) if self.scheme == "fir" else (u - self.anchor)[None]
         modes = self.modes.reshape(len(self.modes), -1)
         modes *= self.decay[:, None]
@@ -641,16 +641,24 @@ def test_history_state_validation():
 @pytest.mark.parametrize("points", [0, 3], ids=["stream", "field"])
 @pytest.mark.parametrize("scheme", ["l1", "fir", "fidr", "gl"])
 def test_every_rule_refuses_a_bad_sample_and_keeps_its_state(scheme, points):
-    """Every rule takes real scalars or 1-D fields: a complex u^0 or sample,
-    a 2-D one or a field of another length is a ValueError, not a value with
-    its imaginary part dropped, and leaves the state as it was, also at the
-    push that grows a direct rule's history or folds a fast rule's modes."""
+    """Every rule takes real scalars or 1-D fields of numpy integer or
+    floating kind, each sample of u^0's shape: a complex, string, None,
+    bool or object u^0 or sample, a 2-D one, a field of another length or
+    a one-point field (one sample broadcast to every point, or a (1,)
+    sample into a stream) is a ValueError, not a value with its imaginary
+    part dropped, a parsed string or a broadcast, and leaves the state as
+    it was, also at the push that grows a direct rule's history or folds a
+    fast rule's modes."""
     soe = (build_soe(kernel_order(scheme, 0.5), SoEParams(3, 10, 4, 3), 0.01, 1.0)
            if scheme in ("fir", "fidr") else None)
     n_modes = soe.n_modes if soe else 0
     u0 = np.linspace(1.0, 2.0, points) if points else 1.0
-    with pytest.raises(ValueError, match="real samples"):
-        new_history(scheme, 0.5, 0.01, u0 * (1 + 1j), n_modes=n_modes)
+    odd_kinds = [(bad, "real samples")
+                 for bad in ("1.5", None, True, np.array(1.5 * u0, dtype=object))]
+    for bad, message in [(u0 * (1 + 1j), "real samples"), (np.zeros((2, 3)), "2, 3"),
+                         *odd_kinds]:
+        with pytest.raises(ValueError, match=message):
+            new_history(scheme, 0.5, 0.01, bad, n_modes=n_modes)
     state, fresh = (new_history(scheme, 0.5, 0.01, u0, n_modes=n_modes) for _ in range(2))
     if soe:
         state.use_kernel(soe)
@@ -662,7 +670,8 @@ def test_every_rule_refuses_a_bad_sample_and_keeps_its_state(scheme, points):
         fresh.step(x * u0)
     refused = [(np.complex128(2 + 2j), "real samples"), (2 + 2j, "real samples"),
                (np.full(points or 2, 2j), "real samples"), (np.zeros((2, 3)), "2, 3"),
-               (np.ones(points + 2), None)]   # a field of another length
+               (np.ones(points + 2), None),   # a field of another length
+               (np.array([2.0]), "shape"), *odd_kinds]
     for sample, message in refused:
         for feed in (state.step, state.push):
             with pytest.raises(ValueError, match=message):
@@ -670,3 +679,21 @@ def test_every_rule_refuses_a_bad_sample_and_keeps_its_state(scheme, points):
             assert state.step_index == n_good
     for x in (3.0, 0.5):
         np.testing.assert_array_equal(state.step(x * u0), fresh.step(x * u0))
+
+
+@pytest.mark.parametrize("scheme", ["l1", "fir", "fidr", "gl"])
+def test_every_rule_takes_a_list_as_its_array(scheme):
+    """A list of numbers is the field numpy makes of it, at u^0, ``step``
+    and ``push`` alike."""
+    soe = (build_soe(kernel_order(scheme, 0.5), SoEParams(3, 10, 4, 3), 0.01, 1.0)
+           if scheme in ("fir", "fidr") else None)
+    listed, arrayed = (new_history(scheme, 0.5, 0.01, u0, n_modes=soe.n_modes if soe else 0)
+                       for u0 in ([1, 2, 3], np.array([1.0, 2.0, 3.0])))
+    if soe:
+        listed.use_kernel(soe)
+        arrayed.use_kernel(soe)
+    for u in ([1, 2, 3], [0.5, -1.0, 2.25], [4, 0, 1]):
+        np.testing.assert_array_equal(listed.step(u), arrayed.step(np.array(u)))
+    listed.push([2.0, 1, 0])
+    arrayed.push(np.array([2.0, 1.0, 0.0]))
+    np.testing.assert_array_equal(listed.step([1, 1, 1]), arrayed.step(np.ones(3)))
