@@ -148,7 +148,6 @@ def test_integer_check_is_written_once():
     assert uses == _integral_uses(inspect.getsource(quadrature._check_count)) == 1
 
 
-
 def _calls_of(tree, name):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name) and node.func.id == name]
