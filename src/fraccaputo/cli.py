@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -28,6 +27,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PROPERTY = 3
 EXIT_NUMERICAL = 4
+
+#: a run's failures, which main reports and a sweep prints as rows: the first three
+#: are numerical (exit 4, though a LinAlgError is a ValueError), the rest bad input (2)
+_RUN_FAILURES = (np.linalg.LinAlgError, ConstructionError, FloatingPointError,
+                 ValueError, MemoryError)
 
 #: mode-count shorthands: ladder (a, b, n1, n2) per target N
 MODE_TABLE = {
@@ -68,7 +72,7 @@ _FLAGS.update(
     out=dict(help="output path (default: stdout)"),
     config=dict(help="JSON file of settings"),
     modes=dict(type=int, help=f"mode-count preset, one of {sorted(MODE_TABLE)}"),
-    jobs=dict(type=int, default=1, help="parallel runs for sweeps, at least 1"),
+    jobs=dict(type=int, default=1, help="must be 1: the sweep runs in one process"),
     snapshots=dict(action="store_true", help="embed field snapshots"),
     quick=dict(action="store_true", help="thin the dense scans"),
 )
@@ -153,38 +157,28 @@ def cmd_soe_error(args) -> int:
     return EXIT_OK
 
 
-def _one_convergence_run(task) -> tuple:
-    """(related error, status) of one manufactured run; a failure is a row, a bug raises."""
-    scheme, n_modes, dt, alpha, h, T = task
-    try:
-        params = SoEParams(*MODE_TABLE[n_modes])
-        return _run(manufactured_problem(alpha), scheme, params, dt, h, T).related_error, "ok"
-    except (ValueError, MemoryError, ConstructionError, FloatingPointError) as exc:
-        return math.nan, f"failed: {exc}"   # a LinAlgError is a ValueError
-
-
 def cmd_convergence(args) -> int:
     """Related error versus dt for the fast schemes (N in {9, 25}) and the
     binomial baseline, halving dt ``levels`` times from the starting value."""
     _check_count("levels", args.levels, 1)
-    _check_count("jobs", args.jobs, 1)
+    _check_count("jobs", args.jobs, 1, 1)
     alpha, h, T = args.alpha, args.h, args.T
     dts = [args.dt * 0.5 ** k for k in range(args.levels)]
     # one row per (scheme, mode count, dt); the storage-hungry baseline
     # ignores the mode count, so it runs once per dt and fills both rows
-    runs = [(scheme, n_modes, dt, alpha, h, T) for scheme in ("fidr", "fir", "gl")
-            for n_modes in (9, 25) for dt in dts if scheme != "gl" or n_modes == 9]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_one_convergence_run, runs))
-    else:
-        results = list(map(_one_convergence_run, runs))
+    rows = []
+    for scheme, n_modes in (("fidr", 9), ("fidr", 25), ("fir", 9), ("fir", 25), ("gl", 9)):
+        for dt in dts:
+            try:
+                report = _run(manufactured_problem(alpha), scheme,
+                              SoEParams(*MODE_TABLE[n_modes]), dt, h, T)
+                cells = [_fmt(report.related_error), "ok"]
+            except _RUN_FAILURES as exc:
+                cells = ["", f"failed: {exc}"]
+            rows.append([scheme, str(n_modes), _fmt(dt), *cells])
+    rows += [["gl", "25"] + row[2:] for row in rows[-len(dts):]]
     config = {"command": "convergence", "alpha": alpha, "h": h, "T": T,
               "dts": dts, "schemes": ["fidr", "fir", "gl"], "mode_counts": [9, 25]}
-    rows = [[scheme, str(n_modes), _fmt(dt),
-             "" if math.isnan(err) else _fmt(err), status]
-            for (scheme, n_modes, dt, *_), (err, status) in zip(runs, results)]
-    rows += [["gl", "25"] + row[2:] for row in rows[-len(dts):]]
     _write_text(args.out, _csv(config, ["scheme", "n_modes", "dt", "related_error", "status"], rows))
     return EXIT_OK
 
@@ -272,12 +266,11 @@ def main(argv=None) -> int:
                 if key in CHOICES:  # choices are strings
                     _check_name(key, text, CHOICES[key])
         return handler(args)
-    except (ValueError, MemoryError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ConstructionError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERICAL
+    except _RUN_FAILURES as exc:
+        numerical = isinstance(exc, _RUN_FAILURES[:3])
+        print(json.dumps({"error": "numerical" if numerical else "validation",
+                          "detail": str(exc)}), file=sys.stderr)
+        return EXIT_NUMERICAL if numerical else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -145,12 +145,18 @@ def _sigma(scheme: str, alpha: float, dt: float) -> float:
     return dt ** -alpha if scheme == "gl" else dt ** -alpha / math.gamma(2.0 - alpha)
 
 
-def _samples(u, shape=None) -> np.ndarray:
-    """A float copy of u, a scalar or 1-D field of numpy integer or floating kind
-    and of ``shape`` if given, a scalar as a numpy scalar; else a ``ValueError``."""
+def _real(u) -> np.ndarray:
+    """u as an array of numpy integer or floating kind, not copied; else a ``ValueError``."""
     u = np.asarray(u)
     if u.dtype.kind not in "iuf":
         raise ValueError(f"the rules take real samples of integer or floating kind, not {u.dtype}")
+    return u
+
+
+def _samples(u, shape=None) -> np.ndarray:
+    """A float copy of u, a scalar or 1-D field of numpy integer or floating kind
+    and of ``shape`` if given, a scalar as a numpy scalar; else a ``ValueError``."""
+    u = _real(u)
     if u.ndim > 1 if shape is None else u.shape != shape:
         raise ValueError(f"a sample is a scalar or 1-D field of u^0's shape, not {u.shape}")
     return u.astype(float)[()]
@@ -369,7 +375,7 @@ def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
     """Direct rule on the full history u^0..u^n (n = len(buffer) - 1):
     dt**-a / Gamma(2-a) * sum_{j<n} w_j (u^{n-j} - u^0), as rev[-n:] @ (u[1:] - u[0])."""
     _check_step(dt)
-    u = np.asarray(buffer, dtype=float)
+    u = np.asarray(_real(buffer), dtype=float)   # a float64 path is not copied
     n, rev = len(u) - 1, weights.rev
     if n < 1:
         raise ValueError("need at least two samples (one step)")

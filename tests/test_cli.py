@@ -85,6 +85,22 @@ def test_convergence_reports_a_mapped_failure_as_a_row(tmp_path, monkeypatch, er
     assert all(r[3] == "" and r[4] == "failed: no run" for r in rows)
 
 
+@pytest.mark.parametrize("error, code, kind", [(np.linalg.LinAlgError, 4, "numerical"),
+                                               (ValueError, 2, "validation")],
+                         ids=["LinAlgError", "ValueError"])
+@pytest.mark.parametrize("name, argv", [("solve", ["solve", "--h", "0.1"]),
+                                        ("run_property_suite", ["property-suite", "--quick"])],
+                         ids=["solve", "property-suite"])
+def test_run_failure_exit_codes(capsys, monkeypatch, error, code, kind, name, argv):
+    """A singular matrix is a numerical failure (4), though a LinAlgError is
+    a ValueError, which is bad input (2)."""
+    def fail(*args, **kwargs):
+        raise error("singular")
+    monkeypatch.setattr(cli, name, fail)
+    assert main(argv) == code
+    assert json.loads(capsys.readouterr().err) == {"error": kind, "detail": "singular"}
+
+
 def test_convergence_raises_a_bug(tmp_path, monkeypatch):
     """Any other error is a bug: it is raised, not printed as a failed row."""
     def bug(*args, **kwargs):
@@ -180,7 +196,8 @@ def test_validation_exit_code(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         if argv[0] == "convergence":   # the message names the setting
-            assert err["detail"].startswith(f"{argv[1][2:]} must be an integer >= 1")
+            span = "in 1..1" if argv[1] == "--jobs" else ">= 1"
+            assert err["detail"].startswith(f"{argv[1][2:]} must be an integer {span}")
 
 
 @pytest.mark.parametrize("setting", [{"x_lo": -2.0}, {"x_hi": 2.0}])
@@ -378,13 +395,12 @@ def test_config_file_with_flag_override(tmp_path, capsys, monkeypatch):
                          "--alpha", "0.2", name="b")
     config, _, _ = parse_csv(text)
     assert config["alpha"] == 0.2
-    # the file gives settings only: the output path and the worker count
+    # the file gives settings only: the output path and --jobs
     # come from their flags alone
     elsewhere = tmp_path / "elsewhere"
     cfg.write_text(json.dumps({"samples": 40, "jobs": 2, "out": str(elsewhere)}))
     assert main(["soe-error", "--config", str(cfg)]) == 0
     assert len(parse_csv(capsys.readouterr().out)[2]) == 40 and not elsewhere.exists()
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # a worker pool would raise
     assert main(["convergence", "--config", str(cfg), "--dt", "0.5", "--h", "0.5",
                  "--levels", "1"]) == 0
     assert not elsewhere.exists()
@@ -399,8 +415,14 @@ def test_config_file_must_hold_an_object(tmp_path, capsys, text):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-def test_jobs_parallel_sweep_matches_serial(tmp_path):
+def test_jobs_takes_only_one(tmp_path, capsys):
+    """The sweep runs in one process: --jobs 1 is the default, and any other
+    count is bad input (2) that names the flag."""
     args = ("convergence", "--alpha", "0.5", "--h", "0.1", "--dt", "0.1", "--levels", "2")
-    _, serial = run_cli(tmp_path, *args, "--jobs", "1", name="a")
-    _, parallel = run_cli(tmp_path, *args, "--jobs", "2", name="b")
-    assert serial == parallel
+    _, default = run_cli(tmp_path, *args, name="a")
+    _, one = run_cli(tmp_path, *args, "--jobs", "1", name="b")
+    assert one == default != ""
+    code, out = run_cli(tmp_path, *args, "--jobs", "2", name="c")
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "detail": "jobs must be an integer in 1..1, got 2"}

@@ -121,6 +121,13 @@ def test_l1_requires_one_step():
         l1_step(l1_weights(0.5, 10), [1.0], 0.1)
 
 
+@pytest.mark.parametrize("path", [["0", "1.5", True], np.array([True, False, True])])
+def test_l1_step_takes_only_numbers(path):
+    """A path of strings or bools is refused as a sample is, not parsed."""
+    with pytest.raises(ValueError, match="integer or floating kind"):
+        l1_step(l1_weights(0.5, 10), path, 0.1)
+
+
 def test_l1_step_rejects_unfit_table():
     with pytest.raises(ValueError):
         l1_step(l1_weights(0.5, 5), np.zeros(12), 0.1)   # path longer than the table
