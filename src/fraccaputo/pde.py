@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .quadrature import _check_count, _check_name, _check_order, _check_positive
+from .quadrature import _check_count, _check_name, _check_order, _check_positive, _real
 from .schemes import SCHEMES, DirectHistory, FastHistory, TimeGrid, kernel_order
 from .soe import SoEParams, build_soe
 
@@ -47,7 +47,7 @@ class SpaceGrid:
 
     def __post_init__(self) -> None:
         _check_count("n_cells", self.n_cells, 2)
-        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):
+        if not -math.inf < _real("x_lo", self.x_lo) < _real("x_hi", self.x_hi) < math.inf:
             raise ValueError(f"need finite ends x_lo < x_hi, got {self.x_lo!r}, {self.x_hi!r}")
 
     @classmethod
@@ -175,7 +175,9 @@ def solve(problem: DiffusionProblem, tgrid: TimeGrid, sgrid: SpaceGrid, scheme: 
     dt, n_steps, h = tgrid.dt, tgrid.n_steps, sgrid.h
     x = sgrid.points().copy()   # linspace returns a view; the copy owns its data
     x.flags.writeable = False   # one grid, owned and read-only, for every call below
-    u0 = np.asarray(problem.initial(x), dtype=float)
+    u0 = _real("initial data", problem.initial(x))
+    if u0.shape != x.shape:
+        raise ValueError(f"initial data of shape {u0.shape} on a grid of shape {x.shape}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial data is not finite on the grid")
     if problem.exact is not None:

@@ -14,7 +14,8 @@ rule is the caller's own, and equal bit for bit to one solved afresh.
 Legendre also takes arrays of endpoints: one call maps the rule to every
 interval of a ladder at once, and its ``QuadRule`` holds one row of nodes
 and weights per interval, each row equal bit for bit to that interval's
-scalar call.  The package's shared input checks live here as well.
+scalar call.  The package's shared input checks live here too, with
+``_real``, the one reading of a real number or sample that they all share.
 """
 from __future__ import annotations
 
@@ -37,9 +38,19 @@ class ConstructionError(RuntimeError):
     """Raised when a numerical construction (rule, kernel) fails."""
 
 
+def _real(name: str, value) -> np.ndarray:
+    """``value``, of numpy integer or floating kind, as a float64 array not copied if it
+    is one; else (a bool, str, object, None or complex) a ``ValueError``, never a parse."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be of integer or floating kind, not {value.dtype}")
+    return value.astype(float, copy=False)
+
+
 def _check_count(name: str, value, least, most=math.inf) -> None:
-    """A ``ValueError`` unless ``value`` is an integer (numpy's too) in [least, most]."""
-    if not (isinstance(value, numbers.Integral) and least <= value <= most):
+    """A ``ValueError`` unless ``value`` is an integer (numpy's too, no bool) in [least, most]."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and least <= value <= most):
         span = f">= {least}" if most == math.inf else f"in {least}..{most}"
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
@@ -50,19 +61,21 @@ def _check_name(kind: str, value, allowed) -> None:
         raise ValueError(f"unknown {kind} {value!r}; pick one of {allowed}")
 
 
-def _check_positive(name: str, value) -> None:
-    """A ``ValueError`` unless every entry of ``value`` is > 0, so a NaN fails."""
-    if not (np.asarray(value) > 0).all():
-        raise ValueError(f"need {name} > 0, got {np.min(value)}")
+def _check_positive(name: str, value) -> np.ndarray:
+    """``_real(name, value)``, a ``ValueError`` unless its every entry is > 0 (a NaN fails)."""
+    value = _real(name, value)
+    if not (value > 0).all():
+        raise ValueError(f"need {name} > 0, got {value.min()}")
+    return value
 
 
 def _check_order(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real("order", alpha) < 1.0:
         raise ValueError("order must lie in (0, 1)")
 
 
 def _check_step(dt: float) -> None:
-    if not 0.0 < dt < math.inf:
+    if not 0.0 < _real("step dt", dt) < math.inf:
         raise ValueError(f"step dt must be positive and finite, got {dt}")
 
 
@@ -105,14 +118,10 @@ class QuadRule:
             raise ConstructionError("nodes escape the open interval")
         if not (self.weights > 0).all():
             raise ConstructionError("non-positive quadrature weight")
-        moment = _weight_moment(lo, hi, self.weight_exponent)
+        g1 = self.weight_exponent + 1.0   # s**gamma integrates to s**g1 / g1
+        moment = (hi ** g1 - lo ** g1) / g1
         if (abs(self.weights.sum(axis=-1) - moment) > 1e-12 * abs(moment)).any():
             raise ConstructionError("weights do not integrate the constant 1")
-
-
-def _weight_moment(lo: float, hi: float, gamma: float) -> float:
-    """Integral of s**gamma over [lo, hi]."""
-    return (hi ** (gamma + 1.0) - lo ** (gamma + 1.0)) / (gamma + 1.0)
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, family: str):
@@ -135,14 +144,14 @@ def gauss_legendre(n: int, lo, hi) -> QuadRule:
     n : int
         Number of nodes, 1 <= n <= 64.
     lo, hi : float or array_like
-        Interval endpoints, lo < hi, broadcast together and taken as float
-        arrays: one rule per interval, nodes and weights of shape
+        Interval endpoints, lo < hi, broadcast together and copied as float
+        arrays (``_real``): one rule per interval, nodes and weights of shape
         ``lo.shape + (n,)``, each row the same ``mid + half * x`` and
         ``half * w`` arithmetic, so scalar ends give one rule of shape (n,).
     """
     _check_count("rule size n", n, 1, MAX_NODES)
     x, w = _legendre(n)
-    lo, hi = np.broadcast_arrays(np.array(lo, dtype=float), np.array(hi, dtype=float))
+    lo, hi = np.broadcast_arrays(np.array(_real("lo", lo)), np.array(_real("hi", hi)))
     empty = np.flatnonzero(~(lo < hi))   # a NaN end makes an empty interval too
     if empty.size:
         k = empty[0]
@@ -187,7 +196,7 @@ def gauss_jacobi_power(n: int, gamma: float, a: float) -> QuadRule:
     _check_count("rule size n", n, 1, MAX_NODES)
     if not -1.0 < gamma < 1.0:
         raise ValueError(f"weight exponent must lie in (-1, 1), got {gamma}")
-    _check_positive("a", a)
+    a = float(_check_positive("a", a))
     x, v0sq = _jacobi(n, gamma)
     nodes = a * (1.0 + x) / 2.0
     weights = a ** (gamma + 1.0) / (gamma + 1.0) * v0sq

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .quadrature import (ConstructionError, _check_count, _check_name, _check_order,
-                         _check_positive, _check_step, gauss_jacobi_power)
+                         _check_positive, _check_step, _real, gauss_jacobi_power)
 from .soe import SoEApproximation
 
 __all__ = [
@@ -78,7 +78,6 @@ class TimeGrid:
 
 def phi(x):
     """(1 - exp(-x)) / x, the mode gain of the increment-based fast rule."""
-    x = np.asarray(x, dtype=float)
     safe = np.where(x == 0.0, 1.0, x)
     return np.where(x == 0.0, 1.0, -np.expm1(-x) / safe)
 
@@ -86,7 +85,6 @@ def phi(x):
 def lam2(x):
     """(1 - exp(-x) - x*exp(-x)) / x**2, fir's gain on u^{n-1}; below
     x = 0.5, where that form cancels, its Taylor series."""
-    x = np.asarray(x, dtype=float)
     small = x < 0.5
     xs = np.where(small, x, 1.0)
     ser = np.zeros_like(xs)
@@ -145,21 +143,13 @@ def _sigma(scheme: str, alpha: float, dt: float) -> float:
     return dt ** -alpha if scheme == "gl" else dt ** -alpha / math.gamma(2.0 - alpha)
 
 
-def _real(u) -> np.ndarray:
-    """u as an array of numpy integer or floating kind, not copied; else a ``ValueError``."""
-    u = np.asarray(u)
-    if u.dtype.kind not in "iuf":
-        raise ValueError(f"the rules take real samples of integer or floating kind, not {u.dtype}")
-    return u
-
-
 def _samples(u, shape=None) -> np.ndarray:
-    """A float copy of u, a scalar or 1-D field of numpy integer or floating kind
-    and of ``shape`` if given, a scalar as a numpy scalar; else a ``ValueError``."""
-    u = _real(u)
+    """A float copy of u, a real (``_real``) scalar or 1-D field of ``shape``
+    if given, a scalar as a numpy scalar; else a ``ValueError``."""
+    u = _real("real samples", u)
     if u.ndim > 1 if shape is None else u.shape != shape:
         raise ValueError(f"a sample is a scalar or 1-D field of u^0's shape, not {u.shape}")
-    return u.astype(float)[()]
+    return u.copy()[()]
 
 
 class _Evaluator:
@@ -375,7 +365,7 @@ def l1_step(weights: DirectHistory, buffer, dt: float) -> float:
     """Direct rule on the full history u^0..u^n (n = len(buffer) - 1):
     dt**-a / Gamma(2-a) * sum_{j<n} w_j (u^{n-j} - u^0), as rev[-n:] @ (u[1:] - u[0])."""
     _check_step(dt)
-    u = np.asarray(_real(buffer), dtype=float)   # a float64 path is not copied
+    u = _real("real samples", buffer)   # a float64 path is not copied
     n, rev = len(u) - 1, weights.rev
     if n < 1:
         raise ValueError("need at least two samples (one step)")
@@ -401,8 +391,7 @@ def caputo_reference(family: str, alpha: float, t, sigma: float | None = None):
     """
     _check_name("family", family, ("power", "sin"))
     _check_order(alpha)
-    t = np.asarray(t, dtype=float)
-    _check_positive("t", t)
+    t = _check_positive("t", t)
     if family == "power":
         if sigma is None:
             raise ValueError("power family needs the exponent sigma")

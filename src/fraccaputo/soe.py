@@ -133,12 +133,11 @@ def build_soe(beta: float, params: SoEParams, delta: float, horizon: float) -> S
 
 def soe_eval(soe: SoEApproximation, t):
     """Evaluate sum(w_i * exp(-s_i * t)); t may be a scalar or an array."""
-    t_arr = np.asarray(t, dtype=float)
-    _check_positive("t", t_arr)
+    t = _check_positive("t", t)
     # one (samples, modes) buffer; -t * s is -(t * s) bit for bit
-    damp = np.multiply.outer(-t_arr, soe.nodes)
+    damp = np.multiply.outer(-t, soe.nodes)
     out = np.exp(damp, out=damp) @ soe.weights
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return float(out) if t.ndim == 0 else out
 
 
 def soe_error_bound_terms(
@@ -212,7 +211,7 @@ def tail_integral(beta: float, p: float, t: float) -> float:
     Returns 0 when t*p > 700 (the value underflows double precision long
     before that).
     """
-    _check_positive("beta, p and t", (beta, p, t))
+    beta, p, t = (float(_check_positive(*arg)) for arg in (("beta", beta), ("p", p), ("t", t)))
     x = t * p
     if x > 700.0:
         return 0.0

@@ -2,6 +2,7 @@ import ast
 import builtins
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
 
@@ -11,12 +12,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraccaputo
-from fraccaputo import quadrature, schemes
+from fraccaputo import quadrature, schemes, soe
 from fraccaputo.pde import DiffusionProblem, SpaceGrid, solve
 from fraccaputo.property_suite import theorem_constants, truncation_bound, truncation_suite
 from fraccaputo.quadrature import gauss_jacobi_power, gauss_legendre
-from fraccaputo.schemes import SCHEMES, TimeGrid, kernel_order, new_history
-from fraccaputo.soe import SoEParams, build_soe, soe_max_error
+from fraccaputo.schemes import SCHEMES, TimeGrid, caputo_reference, kernel_order, new_history
+from fraccaputo.soe import SoEParams, build_soe, soe_eval, soe_max_error, tail_integral
 
 
 def test_public_names_are_pinned():
@@ -132,6 +133,77 @@ def test_counts_are_integers_from_their_least(entry, kind, below, other):
                 call(bad)
 
 
+def _l1_stream(alpha, dt):
+    """Three steps of an l1 stream: the rules share ``_Evaluator``'s reading
+    of alpha and dt, so one rule stands for all four."""
+    state = new_history("l1", alpha, dt, 1.0)
+    return [state.step(u) for u in (2.0, 0.5, 3.0)]
+
+
+def _rule(rule):
+    return rule.nodes, rule.weights
+
+
+#: every entry point that reads a real number through ``quadrature._real``: a
+#: call on the number, and the least and the greatest value the call takes
+REALS = {
+    "TimeGrid.dt": (lambda v: TimeGrid(v, 4).horizon, 1e-3, 8.0),
+    "new_history.alpha": (lambda v: _l1_stream(v, 0.1), 0.05, 0.95),
+    "new_history.dt": (lambda v: _l1_stream(0.5, v), 1e-3, 4.0),
+    "SpaceGrid.x_lo": (lambda v: SpaceGrid(v, 1.0, 4).points(), -4.0, 0.5),
+    "SpaceGrid.x_hi": (lambda v: SpaceGrid(0.0, v, 4).points(), 0.5, 4.0),
+    "SpaceGrid.from_spacing.h": (lambda v: SpaceGrid.from_spacing(0.0, 8.0, v).points(),
+                                 0.1, 4.0),
+    "gauss_legendre.lo": (lambda v: _rule(gauss_legendre(3, v, 2.0)), -4.0, 1.5),
+    "gauss_legendre.hi": (lambda v: _rule(gauss_legendre(3, 0.0, v)), 0.5, 4.0),
+    "gauss_jacobi_power.a": (lambda v: _rule(gauss_jacobi_power(3, 0.5, v)), 0.1, 8.0),
+    "tail_integral.beta": (lambda v: tail_integral(v, 2.0, 3.0), 0.1, 1.9),
+    "tail_integral.p": (lambda v: tail_integral(1.5, v, 0.5), 0.1, 8.0),
+    "tail_integral.t": (lambda v: tail_integral(1.5, 2.0, v), 1e-2, 4.0),
+    "soe_eval.t": (lambda v: soe_eval(_KERNEL, v), 1e-2, 1.0),
+    "caputo_reference.t": (lambda v: (caputo_reference("power", 0.5, v, 2.0),
+                                      caputo_reference("sin", 0.5, v)), 0.1, 4.0),
+}
+
+#: what is not a number: none of it is parsed, cast or taken as 0 or 1
+NOT_NUMBERS = {"str": "0.5", "bool": True, "None": None, "complex": 1j, "object": object()}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("entry", [*REALS, *COUNTS])
+def test_what_is_not_a_number_is_a_value_error(entry, bad):
+    """A string, a bool, None, a complex or an object is refused where a
+    real number is read, in ``_real``'s words, and where a count is read,
+    in ``_check_count``'s."""
+    if entry in REALS:
+        call, wording, also = REALS[entry][0], "integer or floating kind", ()
+    else:
+        (call, _, also), wording = COUNTS[entry], "must be an integer"
+    if NOT_NUMBERS[bad] not in also:   # snapshot_stride takes None for its default
+        with pytest.raises(ValueError, match=wording):
+            call(NOT_NUMBERS[bad])
+
+
+def _bits(result):
+    return np.asarray(result, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("entry", REALS)
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_every_real_kind_gives_the_float_result(entry, data):
+    """An int, a numpy integer or a numpy float gives a result equal bit for
+    bit to the float's: a number is read as the float64 it stands for."""
+    call, least, most = REALS[entry]
+    whole = (st.integers(math.ceil(least), math.floor(most)) if math.ceil(least) <= most
+             else st.nothing())
+    x = data.draw(st.one_of(st.floats(least, most), whole))
+    kinds = (np.float64, int, np.int64) if float(x).is_integer() else (np.float64,)
+    want = _bits(call(float(x)))
+    for kind in kinds:
+        assert _bits(call(kind(x))) == want, kind
+
+
 def _integral_uses(source):
     """The times ``source`` names ``Integral``: as an attribute, a name or an import."""
     return sum(1 for node in ast.walk(ast.parse(source))
@@ -146,6 +218,27 @@ def test_integer_check_is_written_once():
     package = pathlib.Path(fraccaputo.__file__).parent
     uses = sum(_integral_uses(path.read_text()) for path in package.glob("*.py"))
     assert uses == _integral_uses(inspect.getsource(quadrature._check_count)) == 1
+
+
+def test_real_numbers_are_read_once():
+    """``_real`` is defined once, in ``quadrature``; the shared checks of a
+    number read through it, and the readers of times and interval ends
+    convert no parameter by hand with ``dtype=float``."""
+    package = pathlib.Path(fraccaputo.__file__).parent
+    defined = [(path.stem, node.name) for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_real"]
+    assert defined == [("quadrature", "_real")]
+    for check in (quadrature._check_positive, quadrature._check_step, quadrature._check_order):
+        assert _calls_of(ast.parse(inspect.getsource(check)), "_real"), check.__name__
+    for reader in (schemes.caputo_reference, soe.soe_eval, quadrature.gauss_legendre):
+        tree = ast.parse(inspect.getsource(reader))
+        params = {arg.arg for arg in ast.walk(tree) if isinstance(arg, ast.arg)}
+        by_hand = [ast.unparse(call) for call in ast.walk(tree) if isinstance(call, ast.Call)
+                   and any(isinstance(arg, ast.Name) and arg.id in params for arg in call.args)
+                   and any(kw.arg == "dtype" and ast.unparse(kw.value) == "float"
+                           for kw in call.keywords)]
+        assert by_hand == [], reader.__name__
 
 
 def _calls_of(tree, name):

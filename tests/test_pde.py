@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraccaputo import pde
 from fraccaputo.pde import (
     DiffusionProblem,
     SpaceGrid,
@@ -337,6 +338,45 @@ def test_solve_validation():
                            exact=lambda x, t: np.zeros_like(x))
     with pytest.raises(ValueError):
         solve(bad, tg, SpaceGrid(0.0, 1.0, 10), "l1")   # exact(x,0) != initial
+
+
+@pytest.mark.parametrize("initial,message", [
+    (lambda x: 0.0, r"shape \(\) on a grid of shape \(5,\)"),
+    (lambda x: np.zeros(3), r"shape \(3,\) on a grid of shape \(5,\)"),
+    (lambda x: ["0"] * 5, "initial data must be of integer or floating kind"),
+], ids=["scalar", "3-of-5", "strings"])
+@pytest.mark.parametrize("scheme", ["l1", "fidr"])
+def test_initial_data_is_checked_before_any_set_up(scheme, initial, message, monkeypatch):
+    """The initial data is a real field of the grid's shape, refused with
+    both shapes named before a kernel is built: not broadcast at step 1,
+    indexed as a scalar or parsed from strings."""
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built for refused initial data")
+
+    monkeypatch.setattr(pde, "build_soe", no_kernel)
+    prob = DiffusionProblem(0.5, 0.0, 1.0, initial, lambda x, t, u: np.zeros_like(x))
+    with pytest.raises(ValueError, match=message):
+        solve(prob, TimeGrid(0.1, 2), SpaceGrid(0.0, 1.0, 4), scheme, BENCH)
+
+
+def test_fidr_tracks_l1_as_the_order_falls():
+    """The paper's small-order claim, end to end on the manufactured
+    problem at dt = 1e-3 with 25 modes: fidr's related error over l1's
+    falls strictly as alpha falls (7.48, 1.14, 1.05, 1.01 at alpha = 0.5,
+    0.1, 0.05, 0.01) and is within 10 % of l1's at alpha <= 0.05, while
+    fir stays at least 10x worse than fidr at every order (its error over
+    l1's is 2.0e4 down to 45).  The grid is coarse, h = 1e-2, because the
+    l1 solves cost most of the test: at h = 1e-3 the fidr/l1 ratios are
+    66 down to 1.9, but each l1 solve takes about 1 s."""
+    ratios = []
+    for alpha in (0.5, 0.1, 0.05, 0.01):
+        err = {scheme: solve(manufactured_problem(alpha), TimeGrid(1e-3, 1000),
+                             SpaceGrid.from_spacing(0.0, PI, 1e-2), scheme, BENCH).related_error
+               for scheme in ("l1", "fidr", "fir")}
+        assert err["fir"] >= 10.0 * err["fidr"], (alpha, err)
+        ratios.append((alpha, err["fidr"] / err["l1"]))
+    assert all(a[1] > b[1] for a, b in zip(ratios, ratios[1:])), ratios
+    assert all(ratio <= 1.1 for alpha, ratio in ratios if alpha <= 0.05), ratios
 
 
 @pytest.mark.parametrize("scheme", ["fir", "fidr"])
