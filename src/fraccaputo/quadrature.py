@@ -70,12 +70,12 @@ def _check_positive(name: str, value) -> np.ndarray:
 
 
 def _check_order(alpha: float) -> None:
-    if not 0.0 < _real("order", alpha) < 1.0:
+    if not 0.0 < _real("order", alpha)[()] < 1.0:   # [()]: a scalar compares faster than 0-d
         raise ValueError("order must lie in (0, 1)")
 
 
 def _check_step(dt: float) -> None:
-    if not 0.0 < _real("step dt", dt) < math.inf:
+    if not 0.0 < _real("step dt", dt)[()] < math.inf:   # as a scalar, as above
         raise ValueError(f"step dt must be positive and finite, got {dt}")
 
 
