@@ -118,8 +118,8 @@ class QuadRule:
             raise ConstructionError("nodes escape the open interval")
         if not (self.weights > 0).all():
             raise ConstructionError("non-positive quadrature weight")
-        g1 = self.weight_exponent + 1.0   # s**gamma integrates to s**g1 / g1
-        moment = (hi ** g1 - lo ** g1) / g1
+        p = self.weight_exponent + 1.0   # s**gamma integrates to s**p / p
+        moment = (hi ** p - lo ** p) / p
         if (abs(self.weights.sum(axis=-1) - moment) > 1e-12 * abs(moment)).any():
             raise ConstructionError("weights do not integrate the constant 1")
 
